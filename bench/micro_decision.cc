@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "cluster/client_node.h"
 #include "cluster/server_node.h"
 #include "common/log.h"
@@ -37,39 +38,6 @@
 #include "net/socket.h"
 #include "telemetry/decision.h"
 #include "workload/catalog.h"
-
-namespace finelb {
-namespace {
-
-// Allocation counting hook, the same global/thread-local split micro_net
-// uses: the client event loop runs on the main thread, so its allocations
-// are the thread-local delta and the server threads are the remainder.
-namespace alloc_hook {
-std::atomic<std::int64_t> global_count{0};
-thread_local std::int64_t thread_count = 0;
-std::int64_t global() { return global_count.load(std::memory_order_relaxed); }
-std::int64_t local() { return thread_count; }
-}  // namespace alloc_hook
-
-}  // namespace
-}  // namespace finelb
-
-namespace {
-void* counted_alloc(std::size_t size) {
-  finelb::alloc_hook::global_count.fetch_add(1, std::memory_order_relaxed);
-  ++finelb::alloc_hook::thread_count;
-  void* p = std::malloc(size > 0 ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace finelb {
 namespace {

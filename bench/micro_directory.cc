@@ -25,64 +25,13 @@
 #include <string>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "cluster/directory.h"
 #include "cluster/ha/replica.h"
 #include "common/log.h"
 #include "net/clock.h"
 #include "net/message.h"
 #include "net/socket.h"
-
-// Allocation counting: same always-on operator new/delete override as
-// micro_net — every allocation on the calling thread bumps a thread-local
-// counter, and the fetch loop runs entirely on the calling thread.
-namespace alloc_hook {
-std::atomic<std::int64_t> global_count{0};
-thread_local std::int64_t thread_count = 0;
-
-std::int64_t local() { return thread_count; }
-}  // namespace alloc_hook
-
-namespace {
-void* counted_alloc(std::size_t size) {
-  alloc_hook::global_count.fetch_add(1, std::memory_order_relaxed);
-  ++alloc_hook::thread_count;
-  void* p = std::malloc(size > 0 ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  alloc_hook::global_count.fetch_add(1, std::memory_order_relaxed);
-  ++alloc_hook::thread_count;
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
-                     size > 0 ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(al));
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(al));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace finelb::cluster {
 namespace {

@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "cluster/client_node.h"
 #include "cluster/directory.h"
 #include "cluster/server_node.h"
@@ -49,67 +50,6 @@
 #include "telemetry/metrics.h"
 #include "workload/workload.h"
 
-// ---------------------------------------------------------------------------
-// Allocation counting: global operator new/delete overrides.
-//
-// Every heap allocation in the process bumps a global atomic and a
-// thread-local counter. The trajectory harness uses the thread-local one to
-// attribute allocations to the client event loop (which runs on the main
-// thread) and the global-minus-local difference to the server threads. The
-// counters are always on — an uncontended relaxed fetch_add is noise next
-// to malloc itself — so the google-benchmark codec numbers include the
-// (identical) overhead on both legacy and hot paths.
-
-namespace alloc_hook {
-std::atomic<std::int64_t> global_count{0};
-thread_local std::int64_t thread_count = 0;
-
-std::int64_t global() { return global_count.load(std::memory_order_relaxed); }
-std::int64_t local() { return thread_count; }
-}  // namespace alloc_hook
-
-namespace {
-void* counted_alloc(std::size_t size) {
-  alloc_hook::global_count.fetch_add(1, std::memory_order_relaxed);
-  ++alloc_hook::thread_count;
-  void* p = std::malloc(size > 0 ? size : 1);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  alloc_hook::global_count.fetch_add(1, std::memory_order_relaxed);
-  ++alloc_hook::thread_count;
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align,
-                     size > 0 ? size : 1) != 0) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(al));
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, static_cast<std::size_t>(al));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace finelb::net {
 namespace {
 
@@ -121,17 +61,6 @@ void BM_EncodeLoadInquiry(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodeLoadInquiry);
-
-void BM_DecodeLoadReply(benchmark::State& state) {
-  LoadReply msg;
-  msg.seq = 12345;
-  msg.queue_length = 7;
-  const auto bytes = msg.encode();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(LoadReply::decode(bytes));
-  }
-}
-BENCHMARK(BM_DecodeLoadReply);
 
 void BM_EncodeSnapshotReply16(benchmark::State& state) {
   SnapshotReply reply;

@@ -76,9 +76,9 @@ class AlbumFrontend {
       const SimTime deadline = net::monotonic_now() + 20 * kMillisecond;
       while (net::monotonic_now() < deadline) {
         poller.wait(deadline - net::monotonic_now());
-        if (auto size = poll_socket.recv(buf)) {
-          const auto reply =
-              net::LoadReply::decode(std::span(buf.data(), *size));
+        net::LoadReply reply;
+        if (auto size = poll_socket.recv(buf);
+            size && net::LoadReply::try_decode({buf.data(), *size}, reply)) {
           loads.push_back({static_cast<ServerId>(i), reply.queue_length,
                            net::monotonic_now()});
           break;
@@ -104,9 +104,10 @@ class AlbumFrontend {
     const SimTime deadline = net::monotonic_now() + kSecond;
     while (net::monotonic_now() < deadline) {
       poller.wait(deadline - net::monotonic_now());
-      if (auto dgram = service_socket_.recv_from(buf)) {
-        const auto response =
-            net::ServiceResponse::decode(std::span(buf.data(), dgram->size));
+      net::ServiceResponse response;
+      if (auto dgram = service_socket_.recv_from(buf);
+          dgram && net::ServiceResponse::try_decode(
+                       {buf.data(), dgram->size}, response)) {
         if (response.request_id == request.request_id) {
           return response.server;
         }

@@ -8,6 +8,7 @@
 #include "net/clock.h"
 #include "net/message.h"
 #include "telemetry/export.h"
+#include "telemetry/scrape.h"
 
 namespace finelb::cluster {
 namespace {
@@ -534,9 +535,12 @@ void ClientNode::drain_service_socket() {
         // clients own no load socket, so DECISION_INQUIRY pulls land here.
         net::DecisionInquiry inquiry;
         if (net::DecisionInquiry::try_decode(recv_batch_.payload(d),
-                                             inquiry)) {
-          answer_decision_inquiry(inquiry.seq, inquiry.offset,
-                                  recv_batch_.address(d));
+                                             inquiry) &&
+            !telemetry::answer_ring_inquiry(
+                service_socket_, recv_batch_.address(d), options_.id,
+                inquiry, decision_ring_.snapshot())) {
+          ++stats_.send_failures;
+          m_send_failures_.inc();
         }
         continue;
       }
@@ -574,48 +578,6 @@ void ClientNode::drain_service_socket() {
       outstanding_[idx] = outstanding_.back();
       outstanding_.pop_back();
     }
-  }
-}
-
-void ClientNode::answer_decision_inquiry(std::uint64_t seq,
-                                         std::uint32_t offset,
-                                         const net::Address& to) {
-  // Cold path (allocates), mirroring the server's trace inquiry answer: the
-  // ring is snapshotted per inquiry and returned one chunk at a time, so a
-  // scraper walking offsets sees a consistent total only while the ring is
-  // quiescent — fine for the post-run pull this serves.
-  const std::vector<DecisionRecord> records = decision_ring_.snapshot();
-  net::DecisionReply reply;
-  reply.seq = seq;
-  reply.node = options_.id;
-  reply.server_ns = net::monotonic_now();
-  reply.total = static_cast<std::uint32_t>(records.size());
-  reply.offset = std::min(offset, reply.total);
-  const std::size_t end = std::min<std::size_t>(
-      records.size(), reply.offset + net::kDecisionReplyMaxRecords);
-  reply.records.reserve(end - reply.offset);
-  for (std::size_t i = reply.offset; i < end; ++i) {
-    const DecisionRecord& rec = records[i];
-    net::DecisionRecordWire wire;
-    wire.request_id = rec.request_id;
-    wire.at_ns = rec.at_ns;
-    wire.chosen = rec.chosen;
-    wire.polled_count = rec.polled_count;
-    wire.flags = rec.blind_fallback ? 1 : 0;
-    wire.blacklist_filtered = rec.blacklist_filtered;
-    for (std::size_t p = 0;
-         p < rec.polled_count && p < net::kDecisionWirePollMax; ++p) {
-      wire.polled[p].server = rec.polled[p].server;
-      wire.polled[p].queue_length = rec.polled[p].queue_length;
-      wire.polled[p].age_ns = rec.polled[p].age_ns;
-    }
-    reply.records.push_back(wire);
-  }
-  std::vector<std::uint8_t> buf(reply.encoded_size());
-  const std::size_t n = reply.encode_into(buf);
-  if (n == 0 || !service_socket_.send_to({buf.data(), n}, to)) {
-    ++stats_.send_failures;
-    m_send_failures_.inc();
   }
 }
 

@@ -260,8 +260,6 @@ class ClientNode {
                 bool manager_acquired = false);
   void release_manager_slot(std::size_t server_index);
   void drain_service_socket();
-  void answer_decision_inquiry(std::uint64_t seq, std::uint32_t offset,
-                               const net::Address& to);
   void drain_manager_socket();
   void drain_broadcast_socket();
   void drain_poll_socket(std::size_t server_index);

@@ -119,7 +119,6 @@ void DirectoryServer::recv_loop() {
     if (poller.wait(50 * kMillisecond).empty()) continue;
     while (auto dgram = socket_.recv_from(buf)) {
       const std::span<const std::uint8_t> data(buf.data(), dgram->size);
-      if (data.empty()) continue;  // peek_type throws on empty datagrams
       switch (net::peek_type(data)) {
         case net::MsgType::kPublish: {
           net::Publish publish;
@@ -205,7 +204,6 @@ std::optional<std::vector<ServiceEndpoint>> DirectoryClient::try_fetch(
         const auto size = socket_.recv(recv_buf_);
         if (!size) break;
         const std::span<const std::uint8_t> data(recv_buf_.data(), *size);
-        if (data.empty()) continue;
         switch (net::peek_type(data)) {
           case net::MsgType::kSnapshotReply: {
             if (!net::SnapshotReply::try_decode(data, reply_)) {

@@ -10,6 +10,7 @@
 #include "net/clock.h"
 #include "net/poller.h"
 #include "telemetry/export.h"
+#include "telemetry/scrape.h"
 
 namespace finelb::cluster {
 
@@ -216,8 +217,13 @@ void ServerNode::load_recv_loop() {
           }
           net::TraceInquiry trace_inquiry;
           if (net::TraceInquiry::try_decode(inquiries.payload(i),
-                                            trace_inquiry)) {
-            answer_trace_inquiry(trace_inquiry, inquiries.address(i));
+                                            trace_inquiry) &&
+              !telemetry::answer_ring_inquiry(load_socket_,
+                                              inquiries.address(i),
+                                              options_.id, trace_inquiry,
+                                              trace_.snapshot())) {
+            send_failures_.fetch_add(1, std::memory_order_relaxed);
+            m_send_failures_.inc();
           }
           continue;
         }
@@ -427,40 +433,6 @@ void ServerNode::answer_stats_inquiry(std::uint64_t seq,
   const std::size_t n = reply.encode_into(buf);
   // n == 0 means the snapshot outgrew the wire format's 64 KiB string cap;
   // treat it like a kernel-refused send rather than crashing the node.
-  if (n == 0 || !load_socket_.send_to({buf.data(), n}, to)) {
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    m_send_failures_.inc();
-  }
-}
-
-void ServerNode::answer_trace_inquiry(const net::TraceInquiry& inquiry,
-                                      const net::Address& to) {
-  // Cold path (allocates): snapshot the ring and return one chunk. The
-  // snapshot is re-taken per inquiry, so a scraper walking offsets sees a
-  // consistent total only while the ring is quiescent — acceptable for the
-  // post-run merge this serves; a live scrape just re-pulls.
-  const std::vector<telemetry::TraceRecord> records = trace_.snapshot();
-  net::TraceReply reply;
-  reply.seq = inquiry.seq;
-  reply.node = options_.id;
-  reply.server_ns = net::monotonic_now();
-  reply.total = static_cast<std::uint32_t>(records.size());
-  reply.offset = std::min(inquiry.offset, reply.total);
-  const std::size_t end =
-      std::min<std::size_t>(records.size(),
-                            reply.offset + net::kTraceReplyMaxRecords);
-  reply.records.reserve(end - reply.offset);
-  for (std::size_t i = reply.offset; i < end; ++i) {
-    net::TraceRecordWire rec;
-    rec.request_id = records[i].request_id;
-    rec.point = static_cast<std::uint8_t>(records[i].point);
-    rec.node = records[i].node;
-    rec.at_ns = records[i].at_ns;
-    rec.detail = records[i].detail;
-    reply.records.push_back(rec);
-  }
-  std::vector<std::uint8_t> buf(reply.encoded_size());
-  const std::size_t n = reply.encode_into(buf);
   if (n == 0 || !load_socket_.send_to({buf.data(), n}, to)) {
     send_failures_.fetch_add(1, std::memory_order_relaxed);
     m_send_failures_.inc();

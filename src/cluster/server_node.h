@@ -161,8 +161,6 @@ class ServerNode {
   void service_recv_loop();
   void load_recv_loop();
   void answer_stats_inquiry(std::uint64_t seq, const net::Address& to);
-  void answer_trace_inquiry(const net::TraceInquiry& inquiry,
-                            const net::Address& to);
   void publish_loop();
   void broadcast_loop();
   void worker_loop();

@@ -14,10 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
-#include "net/wire.h"
+#include "net/codec.h"
 
 namespace finelb::neptune {
 
@@ -33,36 +32,40 @@ enum class RpcStatus : std::uint8_t {
 constexpr std::uint8_t kRpcRequestTag = 21;
 constexpr std::uint8_t kRpcResponseTag = 22;
 
-struct RpcRequest {
+/// Largest args/result blob an RPC may carry: well under the 64 KiB UDP
+/// datagram ceiling, leaving header room. encode_into() refuses (returns 0)
+/// and try_decode() rejects anything larger.
+constexpr std::size_t kMaxRpcPayload = 60 * 1024;
+
+struct RpcRequest : net::Message<RpcRequest> {
+  static constexpr std::uint8_t kType = kRpcRequestTag;
   std::uint64_t request_id = 0;
   std::uint16_t method = 0;
   std::uint32_t partition = 0;
   std::vector<std::uint8_t> args;
 
-  std::size_t encoded_size() const;
-  /// Serializes into `out`; returns bytes written, 0 if `out` is too small.
-  /// The header is heap-free; only the args blob copy touches `out`.
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  /// Non-throwing decode; reuses out.args capacity across calls.
-  static bool try_decode(std::span<const std::uint8_t> data, RpcRequest& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static RpcRequest decode(std::span<const std::uint8_t> data);
+  template <class Self, class V>
+  static void fields(Self& m, V& v) {
+    v(m.request_id, m.method, m.partition, m.args);
+  }
+  bool valid() const { return args.size() <= kMaxRpcPayload; }
 };
 
-struct RpcResponse {
+struct RpcResponse : net::Message<RpcResponse> {
+  static constexpr std::uint8_t kType = kRpcResponseTag;
   std::uint64_t request_id = 0;
   RpcStatus status = RpcStatus::kOk;
   std::int32_t server = 0;
   std::int32_t queue_at_arrival = 0;
   std::vector<std::uint8_t> result;
 
-  std::size_t encoded_size() const;
-  std::size_t encode_into(std::span<std::uint8_t> out) const;
-  static bool try_decode(std::span<const std::uint8_t> data, RpcResponse& out);
-
-  std::vector<std::uint8_t> encode() const;
-  static RpcResponse decode(std::span<const std::uint8_t> data);
+  template <class Self, class V>
+  static void fields(Self& m, V& v) {
+    v(m.request_id, m.status, m.server, m.queue_at_arrival, m.result);
+  }
+  bool valid() const {
+    return status <= RpcStatus::kAppError && result.size() <= kMaxRpcPayload;
+  }
 };
 
 }  // namespace finelb::neptune

@@ -199,6 +199,7 @@ std::size_t ServiceClient::choose(
 
 CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
                                std::span<const std::uint8_t> args) {
+  FINELB_CHECK(args.size() <= kMaxRpcPayload, "RPC args exceed datagram limit");
   ++stats_.calls;
   const SimTime started = net::monotonic_now();
   CallResult result;

@@ -8,6 +8,7 @@
 #include "net/message.h"
 #include "net/poller.h"
 #include "telemetry/export.h"
+#include "telemetry/scrape.h"
 
 namespace finelb::neptune {
 
@@ -128,17 +129,12 @@ void ServiceNode::load_recv_loop() {
           // scrapers still get the clock probe (server_ns) and terminate.
           net::TraceInquiry trace_inquiry;
           if (net::TraceInquiry::try_decode(inquiries.payload(i),
-                                            trace_inquiry)) {
-            net::TraceReply trace_reply;
-            trace_reply.seq = trace_inquiry.seq;
-            trace_reply.node = options_.id;
-            trace_reply.server_ns = net::monotonic_now();
-            std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
-            const std::size_t len = trace_reply.encode_into(buf);
-            if (len == 0 || !load_socket_.send_to({buf.data(), len},
-                                                  inquiries.address(i))) {
-              m_send_failures_.inc();
-            }
+                                            trace_inquiry) &&
+              !telemetry::answer_ring_inquiry(load_socket_,
+                                              inquiries.address(i),
+                                              options_.id, trace_inquiry,
+                                              {})) {
+            m_send_failures_.inc();
           }
           continue;
         }
@@ -226,8 +222,9 @@ void ServiceNode::worker_loop() {
     // heap vector, whatever the result payload size.
     const std::span<std::uint8_t> out =
         net::thread_scratch(response.encoded_size());
+    // n == 0: the handler's result outgrew the datagram limit.
     const std::size_t n = response.encode_into(out);
-    if (!service_socket_.send_to(out.subspan(0, n), item->reply_to)) {
+    if (n == 0 || !service_socket_.send_to(out.subspan(0, n), item->reply_to)) {
       m_send_failures_.inc();
     }
     qlen_.fetch_sub(1, std::memory_order_relaxed);

@@ -1,9 +1,11 @@
 // Little-endian wire encoding helpers.
 //
-// All prototype messages use explicit little-endian fixed-width fields; the
-// Writer/Reader pair keeps encode/decode symmetric and bounds-checked.
-// Reader throws InvariantError on truncated input, so a short or corrupted
-// datagram can never read out of bounds.
+// All wire fields are explicit little-endian fixed-width integers or
+// length-prefixed byte strings. SpanWriter/TryReader are the non-throwing
+// pair the message codecs (net/codec.h) are built on. Writer/Reader are a
+// growable, throwing pair for application payloads carried inside RPC
+// blobs: Reader throws InvariantError on truncated input. No reader can
+// read out of bounds on a short or corrupted datagram.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +56,11 @@ class Writer {
   std::vector<std::uint8_t> buf_;
 };
 
-/// Bounds-checked writer over a caller-supplied buffer — the hot-path
-/// counterpart of Writer. Never allocates and never throws: running out of
-/// space latches ok() to false and discards further writes, so callers
-/// check ok() once at the end instead of guarding every field. Used by the
-/// encode_into() family to serialize straight into DatagramBatch arenas and
-/// stack buffers.
+/// Bounds-checked writer over a caller-supplied buffer. Never allocates and
+/// never throws: running out of space latches ok() to false and discards
+/// further writes, so callers check ok() once at the end instead of
+/// guarding every field. Every message's encode_into() (net/codec.h) uses
+/// it to serialize straight into DatagramBatch arenas and stack buffers.
 class SpanWriter {
  public:
   explicit SpanWriter(std::span<std::uint8_t> out) : out_(out) {}
@@ -93,6 +94,8 @@ class SpanWriter {
     append_bytes(data.data(), data.size());
   }
 
+  /// Marks the encoding failed (a field that cannot be represented).
+  void fail() { ok_ = false; }
   /// False once any write overflowed the buffer (or a string was oversized).
   bool ok() const { return ok_; }
   /// Bytes written so far (only meaningful while ok()).
@@ -171,7 +174,7 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Non-throwing reader for hot-path decodes (the try_decode() family).
+/// Non-throwing reader behind every message's try_decode() (net/codec.h).
 /// A truncated field latches ok() to false and yields zero values; callers
 /// check ok() once after reading every field. String/blob reads assign into
 /// caller-owned storage so repeated decodes reuse capacity.
@@ -209,6 +212,8 @@ class TryReader {
     pos_ += len;
   }
 
+  /// Marks the input malformed (a field value the message cannot hold).
+  void fail() { ok_ = false; }
   bool ok() const { return ok_; }
   std::size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }

@@ -9,12 +9,10 @@
 // pick_random_fallback with a DecisionContext), so the simulator and the
 // prototype fill structurally identical rings.
 //
-// The ring uses the same fence-free seqlock protocol as TraceRing: one
-// relaxed fetch_add claims a slot, release stores fill the payload, and a
-// final release store of the even sequence seals it; readers validate the
-// sequence before and after copying. Every word is a 64-bit atomic —
-// TSan-clean under concurrent writers. Under FINELB_TELEMETRY=OFF the ring
-// allocates nothing and record() compiles to a no-op.
+// The ring is a SeqRing<DecisionRecord> (telemetry/seq_ring.h), the same
+// lock-free storage as TraceRing: wait-free recording, torn-read-free
+// snapshots, TSan-clean under concurrent writers, and nothing at all under
+// FINELB_TELEMETRY=OFF.
 //
 // Decision quality: the sim computes exact mistake/regret online against
 // its omniscient queue view; the prototype reconstructs the measured
@@ -23,9 +21,7 @@
 // queue depth at dispatch comes from its kResponse trace record.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,70 +29,25 @@
 #include "core/selection.h"
 #include "telemetry/merge.h"
 #include "telemetry/metrics.h"
+#include "telemetry/seq_ring.h"
 
 namespace finelb::telemetry {
 
-class DecisionRing final : public DecisionSink {
+/// The decision ring, and the DecisionSink the selection choke point writes
+/// through. `sample_period` of 0 disables recording entirely; N records
+/// every decision whose request id is a multiple of N — use 1 to audit
+/// every decision, or the trace sample period so decision records join the
+/// traced subset.
+class DecisionRing final : public SeqRing<DecisionRecord>,
+                           public DecisionSink {
  public:
-  /// `sample_period` of 0 disables recording entirely (no slot allocation);
-  /// N records every decision whose request id is a multiple of N — use 1
-  /// to audit every decision, or the trace sample period so decision
-  /// records join the traced subset.
-  explicit DecisionRing(std::size_t capacity = 256,
-                        std::uint32_t sample_period = 0);
-
-  /// Hot-path gate, mirroring TraceRing::sampled.
-  bool sampled(std::uint64_t request_id) const {
-    if constexpr (!kRingEnabled) {
-      (void)request_id;
-      return false;
-    }
-    return period_ != 0 && request_id % period_ == 0;
-  }
-
-  /// True when the ring records at all (telemetry compiled in and a nonzero
-  /// sample period).
-  bool active() const {
-    if constexpr (!kRingEnabled) return false;
-    return slots_ != nullptr;
-  }
+  using SeqRing::SeqRing;
 
   /// The sink the choke point writes through (null when inactive, so the
   /// selection call skips record construction entirely).
   DecisionSink* sink() { return active() ? this : nullptr; }
 
   void record_decision(const DecisionRecord& record) override;
-
-  /// Valid records, oldest first. Safe against concurrent writers; slots
-  /// overwritten mid-read are skipped rather than returned torn.
-  std::vector<DecisionRecord> snapshot() const;
-
-  std::uint32_t sample_period() const { return period_; }
-  std::size_t capacity() const { return capacity_; }
-
- private:
-#if defined(FINELB_TELEMETRY_DISABLED)
-  static constexpr bool kRingEnabled = false;
-#else
-  static constexpr bool kRingEnabled = true;
-#endif
-
-  struct Slot {
-    // seq = 2*claim+1 while writing, 2*claim+2 sealed (0 = never written).
-    std::atomic<std::uint64_t> seq{0};
-    std::atomic<std::uint64_t> request_id{0};
-    std::atomic<std::int64_t> at_ns{0};
-    // chosen (low 32) | polled_count << 32 | blind << 40 | filtered << 48.
-    std::atomic<std::uint64_t> meta{0};
-    // Per polled entry: server (low 32) | queue_length << 32, plus its age.
-    std::atomic<std::uint64_t> polled_id_qlen[kDecisionPollMax] = {};
-    std::atomic<std::int64_t> polled_age_ns[kDecisionPollMax] = {};
-  };
-
-  std::size_t capacity_;
-  std::uint32_t period_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> head_{0};
 };
 
 // --- regret accounting -------------------------------------------------------

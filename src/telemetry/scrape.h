@@ -1,13 +1,18 @@
-// Client side of the STATS_INQUIRY / TRACE_INQUIRY pull channels: ask a
-// node's load-index UDP server for a telemetry snapshot or its trace ring.
+// Both ends of the telemetry pull channels on a node's UDP sockets:
+// STATS_INQUIRY (a JSON snapshot), and the chunked ring pulls
+// TRACE_INQUIRY and DECISION_INQUIRY, which share one answer helper and
+// one client walk.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/time.h"
 #include "core/selection.h"
+#include "net/message.h"
 #include "net/pingpong.h"
 #include "net/socket.h"
 #include "telemetry/trace.h"
@@ -40,20 +45,23 @@ ClusterStatsScrape scrape_cluster_stats(
     SimDuration per_node_timeout = 200 * kMillisecond,
     int retries_per_node = 1);
 
-/// One node's trace ring pulled over the wire, plus the clock-sync samples
-/// each chunked round trip yielded for free (every TRACE_REPLY carries the
-/// answering node's monotonic clock — feed these to ClockSync::add_sample).
-struct NodeTraceScrape {
+/// One node's ring (trace or decision records) pulled over the wire, plus
+/// the clock-sync samples each chunked round trip yielded for free (every
+/// reply carries the answering node's monotonic clock — feed these to
+/// ClockSync::add_sample).
+template <class Record>
+struct NodeRingScrape {
   /// Node id the replies reported (-1 if the node didn't say).
   std::int32_t node = -1;
-  std::vector<TraceRecord> records;
+  std::vector<Record> records;
   std::vector<net::ClockSample> clock_samples;
   /// False when a later chunk timed out on a lossy link: `records` then
   /// holds the prefix pulled so far (still usable for merging — the caller
-  /// just has fewer samples), rather than the all-or-nothing nullopt the
-  /// channel used to return.
+  /// just has fewer samples) rather than nothing.
   bool complete = true;
 };
+using NodeTraceScrape = NodeRingScrape<TraceRecord>;
+using NodeDecisionScrape = NodeRingScrape<DecisionRecord>;
 
 /// Pulls the full trace ring from `load_addr` with chunked TRACE_INQUIRYs
 /// (each reply stays under the 64 KiB datagram cap). Returns nullopt only
@@ -64,22 +72,25 @@ std::optional<NodeTraceScrape> scrape_trace(const net::Address& load_addr,
                                             SimDuration timeout = 200 *
                                                                   kMillisecond);
 
-/// One node's decision ring pulled over the chunked DECISION_INQUIRY
-/// channel, with the same partial-result and clock-sample semantics as
-/// NodeTraceScrape.
-struct NodeDecisionScrape {
-  std::int32_t node = -1;
-  std::vector<DecisionRecord> records;
-  std::vector<net::ClockSample> clock_samples;
-  bool complete = true;
-};
-
 /// Pulls the full decision ring from `addr` (a socket answering
-/// DECISION_INQUIRY — the prototype client's service socket, or a server's
-/// load socket). Returns nullopt only when the first chunk goes
-/// unanswered.
+/// DECISION_INQUIRY — the prototype client's service socket) with the same
+/// chunked walk and partial-result contract as scrape_trace.
 std::optional<NodeDecisionScrape> scrape_decisions(
     const net::Address& addr, SimDuration timeout = 200 * kMillisecond);
+
+/// Serve side of the ring pulls: answers `inquiry` with the chunk of
+/// `records` (the node's current ring snapshot) starting at its offset,
+/// stamped with `node` and this node's clock, sent to `to` on `socket`.
+/// An offset past the end yields an empty, stamped chunk (the clock
+/// probe). Returns false when the reply could not be sent. Cold path:
+/// allocates.
+bool answer_ring_inquiry(net::UdpSocket& socket, const net::Address& to,
+                         std::int32_t node, const net::TraceInquiry& inquiry,
+                         std::span<const TraceRecord> records);
+bool answer_ring_inquiry(net::UdpSocket& socket, const net::Address& to,
+                         std::int32_t node,
+                         const net::DecisionInquiry& inquiry,
+                         std::span<const DecisionRecord> records);
 
 /// One clock-probe round trip: an out-of-range TRACE_INQUIRY (offset past any
 /// ring) that returns an empty, stamped TRACE_REPLY. Cheaper than a full

@@ -6,6 +6,7 @@
 #include <array>
 
 #include "cluster/experiment.h"
+#include "codec_test_util.h"
 #include "common/check.h"
 #include "net/clock.h"
 #include "net/message.h"
@@ -48,7 +49,7 @@ TEST(BroadcastChannelTest, RelaysToSubscribers) {
   const auto size = subscriber.recv_from(buf);
   ASSERT_TRUE(size.has_value());
   const auto received =
-      net::LoadAnnounce::decode(std::span(buf.data(), size->size));
+      must_decode<net::LoadAnnounce>(std::span(buf.data(), size->size));
   EXPECT_EQ(received.server, 5);
   EXPECT_EQ(received.queue_length, 3);
   // The datagram can reach the subscriber before the channel thread bumps
@@ -107,6 +108,53 @@ TEST(BroadcastChannelTest, FanOutToMultipleSubscribers) {
   for (auto& s : subscribers) {
     EXPECT_TRUE(s.recv_from(buf).has_value());
   }
+  channel.stop();
+}
+
+// Hostile input on the channel socket: an empty datagram, an unknown type
+// tag and truncated Subscribe/LoadAnnounce encodings are each dropped — no
+// subscriber registered, nothing relayed — and the channel keeps serving.
+TEST(BroadcastChannelTest, MalformedDatagramsDroppedAndChannelKeepsServing) {
+  BroadcastChannel channel;
+  channel.start();
+
+  net::Subscribe subscribe;
+  subscribe.ttl_ms = 5000;
+  std::vector<std::uint8_t> truncated_subscribe = subscribe.encode();
+  truncated_subscribe.pop_back();
+  net::UdpSocket garbage;
+  ASSERT_TRUE(garbage.send_to({}, channel.address()));
+  ASSERT_TRUE(garbage.send_to(std::vector<std::uint8_t>{0xee, 1, 2},
+                              channel.address()));
+  ASSERT_TRUE(garbage.send_to(truncated_subscribe, channel.address()));
+
+  // Queued behind the garbage: had the truncated subscribe registered its
+  // sender, the count would reach 2.
+  net::UdpSocket subscriber;
+  ASSERT_TRUE(subscriber.send_to(subscribe.encode(), channel.address()));
+  wait_for_subscribers(channel, 1);
+
+  net::UdpSocket server;
+  net::LoadAnnounce announcement;
+  announcement.server = 5;
+  announcement.queue_length = 3;
+  std::vector<std::uint8_t> truncated_announce = announcement.encode();
+  truncated_announce.pop_back();
+  ASSERT_TRUE(server.send_to(truncated_announce, channel.address()));
+  ASSERT_TRUE(server.send_to(announcement.encode(), channel.address()));
+
+  // The first datagram the subscriber sees is the well-formed announcement.
+  net::Poller poller;
+  poller.add(subscriber.fd(), 0);
+  ASSERT_FALSE(poller.wait(kSecond).empty());
+  std::array<std::uint8_t, 64> buf{};
+  const auto size = subscriber.recv_from(buf);
+  ASSERT_TRUE(size.has_value());
+  EXPECT_EQ(size->size, announcement.encoded_size());
+  EXPECT_EQ(must_decode<net::LoadAnnounce>(std::span(buf.data(), size->size))
+                .server,
+            5);
+  EXPECT_EQ(channel.subscriber_count(), 1u);
   channel.stop();
 }
 

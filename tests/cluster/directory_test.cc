@@ -274,5 +274,37 @@ TEST(DirectoryTest, WaitForServersReturnsPartialAfterDeadline) {
   directory.stop();
 }
 
+// Hostile input on the directory socket: an empty datagram, an unknown
+// type tag and truncated Publish/SnapshotRequest encodings are each
+// dropped, and the directory keeps serving well-formed publishes and
+// snapshot requests.
+TEST(DirectoryTest, MalformedDatagramsDroppedAndDirectoryKeepsServing) {
+  DirectoryServer directory;
+  directory.start();
+  net::UdpSocket publisher;
+  std::vector<std::uint8_t> truncated_publish =
+      make_publish("search", 1).encode();
+  truncated_publish.pop_back();
+  net::SnapshotRequest request;
+  request.seq = 1;
+  request.service = "search";
+  std::vector<std::uint8_t> truncated_request = request.encode();
+  truncated_request.pop_back();
+  ASSERT_TRUE(publisher.send_to({}, directory.address()));
+  ASSERT_TRUE(publisher.send_to(std::vector<std::uint8_t>{0xee, 1, 2},
+                                directory.address()));
+  ASSERT_TRUE(publisher.send_to(truncated_publish, directory.address()));
+  ASSERT_TRUE(publisher.send_to(truncated_request, directory.address()));
+  ASSERT_TRUE(publisher.send_to(make_publish("search", 2).encode(),
+                                directory.address()));
+
+  DirectoryClient client(directory.address());
+  const auto endpoints = client.wait_for_servers("search", 1);
+  ASSERT_EQ(endpoints.size(), 1u);
+  EXPECT_EQ(endpoints[0].server, 2);
+  EXPECT_EQ(directory.publishes_received(), 1);
+  directory.stop();
+}
+
 }  // namespace
 }  // namespace finelb::cluster

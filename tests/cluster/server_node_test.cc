@@ -5,6 +5,7 @@
 #include <array>
 #include <string>
 
+#include "codec_test_util.h"
 #include "common/check.h"
 #include "net/clock.h"
 #include "net/poller.h"
@@ -48,7 +49,7 @@ TEST(ServerNodeTest, AnswersLoadInquiriesWithZeroQueueWhenIdle) {
   net::LoadInquiry inquiry;
   inquiry.seq = 77;
   const auto bytes = roundtrip(client, server.load_address(), inquiry);
-  const auto reply = net::LoadReply::decode(bytes);
+  const auto reply = must_decode<net::LoadReply>(bytes);
   EXPECT_EQ(reply.seq, 77u);
   EXPECT_EQ(reply.queue_length, 0);
   server.stop();
@@ -65,7 +66,7 @@ TEST(ServerNodeTest, ServesRequestAndDecrementsQueue) {
   const SimTime start = net::monotonic_now();
   const auto bytes = roundtrip(client, server.service_address(), request);
   const SimDuration elapsed = net::monotonic_now() - start;
-  const auto response = net::ServiceResponse::decode(bytes);
+  const auto response = must_decode<net::ServiceResponse>(bytes);
   EXPECT_EQ(response.request_id, 1234u);
   EXPECT_EQ(response.server, 5);
   EXPECT_EQ(response.queue_at_arrival, 0);
@@ -105,7 +106,7 @@ TEST(ServerNodeTest, FifoQueueingSerializesRequests) {
     poller.wait(50 * kMillisecond);
     while (auto dgram = client.recv_from(buf)) {
       order.push_back(
-          net::ServiceResponse::decode(std::span(buf.data(), dgram->size))
+          must_decode<net::ServiceResponse>(std::span(buf.data(), dgram->size))
               .request_id);
     }
   }
@@ -128,7 +129,7 @@ TEST(ServerNodeTest, QueueLengthVisibleToPollsDuringService) {
   net::LoadInquiry inquiry;
   inquiry.seq = 1;
   const auto bytes = roundtrip(poll_client, server.load_address(), inquiry);
-  EXPECT_EQ(net::LoadReply::decode(bytes).queue_length, 1);
+  EXPECT_EQ(must_decode<net::LoadReply>(bytes).queue_length, 1);
   server.stop();
 }
 
@@ -177,7 +178,7 @@ TEST(ServerNodeTest, MalformedDatagramsIgnored) {
   net::LoadInquiry inquiry;
   inquiry.seq = 3;
   const auto bytes = roundtrip(client, server.load_address(), inquiry);
-  EXPECT_EQ(net::LoadReply::decode(bytes).seq, 3u);
+  EXPECT_EQ(must_decode<net::LoadReply>(bytes).seq, 3u);
   server.stop();
 }
 

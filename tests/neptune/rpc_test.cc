@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/check.h"
+#include "codec_test_util.h"
 
 namespace finelb::neptune {
 namespace {
@@ -13,7 +13,7 @@ TEST(RpcCodecTest, RequestRoundTrip) {
   request.method = 7;
   request.partition = 3;
   request.args = {1, 2, 3, 4, 5};
-  const auto decoded = RpcRequest::decode(request.encode());
+  const auto decoded = must_decode<RpcRequest>(request.encode());
   EXPECT_EQ(decoded.request_id, request.request_id);
   EXPECT_EQ(decoded.method, 7);
   EXPECT_EQ(decoded.partition, 3u);
@@ -23,7 +23,7 @@ TEST(RpcCodecTest, RequestRoundTrip) {
 TEST(RpcCodecTest, EmptyArgsAllowed) {
   RpcRequest request;
   request.request_id = 1;
-  const auto decoded = RpcRequest::decode(request.encode());
+  const auto decoded = must_decode<RpcRequest>(request.encode());
   EXPECT_TRUE(decoded.args.empty());
 }
 
@@ -37,7 +37,7 @@ TEST(RpcCodecTest, ResponseRoundTripAllStatuses) {
     response.server = 11;
     response.queue_at_arrival = 2;
     response.result = {9, 9, 9};
-    const auto decoded = RpcResponse::decode(response.encode());
+    const auto decoded = must_decode<RpcResponse>(response.encode());
     EXPECT_EQ(decoded.status, status);
     EXPECT_EQ(decoded.server, 11);
     EXPECT_EQ(decoded.result, response.result);
@@ -48,26 +48,30 @@ TEST(RpcCodecTest, LargePayloadWithinDatagramLimit) {
   RpcRequest request;
   request.request_id = 1;
   request.args.assign(60 * 1024, 0x5a);
-  const auto decoded = RpcRequest::decode(request.encode());
+  const auto decoded = must_decode<RpcRequest>(request.encode());
   EXPECT_EQ(decoded.args.size(), 60u * 1024);
 }
 
 TEST(RpcCodecTest, OversizedPayloadRejected) {
   RpcRequest request;
   request.args.assign(60 * 1024 + 1, 0);
-  EXPECT_THROW(request.encode(), InvariantError);
+  std::vector<std::uint8_t> buf(request.encoded_size());
+  EXPECT_EQ(request.encode_into(buf), 0u);
+  EXPECT_TRUE(request.encode().empty());
   RpcResponse response;
   response.result.assign(60 * 1024 + 1, 0);
-  EXPECT_THROW(response.encode(), InvariantError);
+  buf.resize(response.encoded_size());
+  EXPECT_EQ(response.encode_into(buf), 0u);
+  EXPECT_TRUE(response.encode().empty());
 }
 
 TEST(RpcCodecTest, CrossDecodeRejected) {
   RpcRequest request;
   request.request_id = 1;
-  EXPECT_THROW(RpcResponse::decode(request.encode()), InvariantError);
+  EXPECT_FALSE(decodes<RpcResponse>(request.encode()));
   RpcResponse response;
   response.request_id = 1;
-  EXPECT_THROW(RpcRequest::decode(response.encode()), InvariantError);
+  EXPECT_FALSE(decodes<RpcRequest>(response.encode()));
 }
 
 TEST(RpcCodecTest, TruncatedPrefixesRejected) {
@@ -77,7 +81,7 @@ TEST(RpcCodecTest, TruncatedPrefixesRejected) {
   const auto bytes = request.encode();
   const std::span<const std::uint8_t> all(bytes);
   for (std::size_t len = 1; len < bytes.size(); ++len) {
-    EXPECT_THROW(RpcRequest::decode(all.subspan(0, len)), InvariantError);
+    EXPECT_FALSE(decodes<RpcRequest>(all.subspan(0, len)));
   }
 }
 
@@ -86,7 +90,7 @@ TEST(RpcCodecTest, UnknownStatusByteRejected) {
   response.request_id = 1;
   auto bytes = response.encode();
   bytes[9] = 250;  // status byte follows tag(1) + request_id(8)
-  EXPECT_THROW(RpcResponse::decode(bytes), InvariantError);
+  EXPECT_FALSE(decodes<RpcResponse>(bytes));
 }
 
 }  // namespace

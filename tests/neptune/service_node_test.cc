@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "codec_test_util.h"
 #include "common/check.h"
 #include "net/clock.h"
 #include "net/message.h"
@@ -55,7 +56,7 @@ RpcResponse call_raw(net::UdpSocket& socket, const net::Address& dest,
   while (net::monotonic_now() < deadline) {
     poller.wait(50 * kMillisecond);
     if (auto dgram = socket.recv_from(buf)) {
-      return RpcResponse::decode(std::span(buf.data(), dgram->size));
+      return must_decode<RpcResponse>(std::span(buf.data(), dgram->size));
     }
   }
   ADD_FAILURE() << "no RPC response";
@@ -135,7 +136,7 @@ TEST(ServiceNodeTest, AnswersLoadInquiries) {
   const auto size = client.recv_from(buf);
   ASSERT_TRUE(size.has_value());
   const auto reply =
-      net::LoadReply::decode(std::span(buf.data(), size->size));
+      must_decode<net::LoadReply>(std::span(buf.data(), size->size));
   EXPECT_EQ(reply.seq, 55u);
   EXPECT_EQ(reply.queue_length, 0);
   node->stop();

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "common/check.h"
+#include "codec_test_util.h"
 
 namespace finelb::net {
 namespace {
@@ -16,7 +16,7 @@ TEST(MessageTest, LoadInquiryRoundTrip) {
   m.seq = 0xfeedface12345678ull;
   m.trace_id = (3ull << 40) | 42;
   m.origin_ns = -123456789;
-  const auto decoded = LoadInquiry::decode(m.encode());
+  const auto decoded = must_decode<LoadInquiry>(m.encode());
   EXPECT_EQ(decoded.seq, m.seq);
   EXPECT_EQ(decoded.trace_id, m.trace_id);
   EXPECT_EQ(decoded.origin_ns, m.origin_ns);
@@ -30,7 +30,7 @@ TEST(MessageTest, LoadReplyRoundTrip) {
   m.trace_id = (5ull << 40) | 7;
   m.origin_ns = 1;
   m.server_ns = 0x7fffffffffffffffll;
-  const auto decoded = LoadReply::decode(m.encode());
+  const auto decoded = must_decode<LoadReply>(m.encode());
   EXPECT_EQ(decoded.seq, 99u);
   EXPECT_EQ(decoded.queue_length, 17);
   EXPECT_EQ(decoded.trace_id, m.trace_id);
@@ -45,7 +45,7 @@ TEST(MessageTest, ServiceRequestRoundTrip) {
   m.partition = 3;
   m.trace_id = m.request_id;
   m.origin_ns = 987654321;
-  const auto decoded = ServiceRequest::decode(m.encode());
+  const auto decoded = must_decode<ServiceRequest>(m.encode());
   EXPECT_EQ(decoded.request_id, m.request_id);
   EXPECT_EQ(decoded.service_us, 22200u);
   EXPECT_EQ(decoded.partition, 3u);
@@ -60,7 +60,7 @@ TEST(MessageTest, ServiceResponseRoundTrip) {
   m.queue_at_arrival = 5;
   m.trace_id = 42;
   m.server_ns = -1;
-  const auto decoded = ServiceResponse::decode(m.encode());
+  const auto decoded = must_decode<ServiceResponse>(m.encode());
   EXPECT_EQ(decoded.request_id, 42u);
   EXPECT_EQ(decoded.server, 11);
   EXPECT_EQ(decoded.queue_at_arrival, 5);
@@ -73,17 +73,17 @@ TEST(MessageTest, UntracedMessagesCarryZeroTraceContext) {
   // the wire — receivers treat 0 as "no trace context".
   LoadInquiry inquiry;
   inquiry.seq = 8;
-  EXPECT_EQ(LoadInquiry::decode(inquiry.encode()).trace_id, 0u);
+  EXPECT_EQ(must_decode<LoadInquiry>(inquiry.encode()).trace_id, 0u);
   ServiceRequest request;
   request.request_id = 8;
-  EXPECT_EQ(ServiceRequest::decode(request.encode()).trace_id, 0u);
+  EXPECT_EQ(must_decode<ServiceRequest>(request.encode()).trace_id, 0u);
 }
 
 TEST(MessageTest, TraceInquiryReplyRoundTrip) {
   TraceInquiry inquiry;
   inquiry.seq = 4242;
   inquiry.offset = 0xffffffffu;
-  const auto dinq = TraceInquiry::decode(inquiry.encode());
+  const auto dinq = must_decode<TraceInquiry>(inquiry.encode());
   EXPECT_EQ(dinq.seq, 4242u);
   EXPECT_EQ(dinq.offset, 0xffffffffu);
 
@@ -102,7 +102,7 @@ TEST(MessageTest, TraceInquiryReplyRoundTrip) {
     rec.detail = -i;
     reply.records.push_back(rec);
   }
-  const auto dreply = TraceReply::decode(reply.encode());
+  const auto dreply = must_decode<TraceReply>(reply.encode());
   EXPECT_EQ(dreply.seq, 4242u);
   EXPECT_EQ(dreply.node, 13);
   EXPECT_EQ(dreply.server_ns, reply.server_ns);
@@ -124,7 +124,7 @@ TEST(MessageTest, TraceReplyMaxChunkStaysUnderDatagramCap) {
   reply.records.resize(kTraceReplyMaxRecords);
   const auto bytes = reply.encode();
   EXPECT_LT(bytes.size(), 64u * 1024u);
-  const auto decoded = TraceReply::decode(bytes);
+  const auto decoded = must_decode<TraceReply>(bytes);
   EXPECT_EQ(decoded.records.size(), kTraceReplyMaxRecords);
 }
 
@@ -132,7 +132,7 @@ TEST(MessageTest, DecisionInquiryReplyRoundTrip) {
   DecisionInquiry inquiry;
   inquiry.seq = 777;
   inquiry.offset = 0xfffffffeu;
-  const auto dinq = DecisionInquiry::decode(inquiry.encode());
+  const auto dinq = must_decode<DecisionInquiry>(inquiry.encode());
   EXPECT_EQ(dinq.seq, 777u);
   EXPECT_EQ(dinq.offset, 0xfffffffeu);
 
@@ -157,7 +157,7 @@ TEST(MessageTest, DecisionInquiryReplyRoundTrip) {
     }
     reply.records.push_back(rec);
   }
-  const auto dreply = DecisionReply::decode(reply.encode());
+  const auto dreply = must_decode<DecisionReply>(reply.encode());
   EXPECT_EQ(dreply.seq, 777u);
   EXPECT_EQ(dreply.node, 5);
   EXPECT_EQ(dreply.server_ns, reply.server_ns);
@@ -192,25 +192,25 @@ TEST(MessageTest, DecisionReplyMaxChunkStaysUnderDatagramCap) {
   }
   const auto bytes = reply.encode();
   EXPECT_LT(bytes.size(), 64u * 1024u);
-  const auto decoded = DecisionReply::decode(bytes);
+  const auto decoded = must_decode<DecisionReply>(bytes);
   EXPECT_EQ(decoded.records.size(), kDecisionReplyMaxRecords);
 }
 
 TEST(MessageTest, ManagerProtocolRoundTrips) {
   Acquire a;
   a.seq = 1001;
-  EXPECT_EQ(Acquire::decode(a.encode()).seq, 1001u);
+  EXPECT_EQ(must_decode<Acquire>(a.encode()).seq, 1001u);
 
   AcquireReply r;
   r.seq = 1001;
   r.server = 9;
-  const auto decoded = AcquireReply::decode(r.encode());
+  const auto decoded = must_decode<AcquireReply>(r.encode());
   EXPECT_EQ(decoded.seq, 1001u);
   EXPECT_EQ(decoded.server, 9);
 
   Release rel;
   rel.server = 9;
-  EXPECT_EQ(Release::decode(rel.encode()).server, 9);
+  EXPECT_EQ(must_decode<Release>(rel.encode()).server, 9);
 }
 
 TEST(MessageTest, PublishRoundTrip) {
@@ -221,7 +221,7 @@ TEST(MessageTest, PublishRoundTrip) {
   m.service_port = 40001;
   m.load_port = 40002;
   m.ttl_ms = 2000;
-  const auto decoded = Publish::decode(m.encode());
+  const auto decoded = must_decode<Publish>(m.encode());
   EXPECT_EQ(decoded.service, "photo-album");
   EXPECT_EQ(decoded.partition, 2u);
   EXPECT_EQ(decoded.server, 14);
@@ -234,7 +234,7 @@ TEST(MessageTest, SnapshotRoundTrip) {
   SnapshotRequest req;
   req.seq = 5;
   req.service = "experiment";
-  const auto dreq = SnapshotRequest::decode(req.encode());
+  const auto dreq = must_decode<SnapshotRequest>(req.encode());
   EXPECT_EQ(dreq.seq, 5u);
   EXPECT_EQ(dreq.service, "experiment");
 
@@ -249,7 +249,7 @@ TEST(MessageTest, SnapshotRoundTrip) {
     p.ttl_ms = 1000;
     reply.entries.push_back(p);
   }
-  const auto dreply = SnapshotReply::decode(reply.encode());
+  const auto dreply = must_decode<SnapshotReply>(reply.encode());
   EXPECT_EQ(dreply.seq, 5u);
   ASSERT_EQ(dreply.entries.size(), 16u);
   EXPECT_EQ(dreply.entries[7].server, 7);
@@ -259,27 +259,27 @@ TEST(MessageTest, SnapshotRoundTrip) {
 TEST(MessageTest, EmptySnapshotReply) {
   SnapshotReply reply;
   reply.seq = 1;
-  const auto decoded = SnapshotReply::decode(reply.encode());
+  const auto decoded = must_decode<SnapshotReply>(reply.encode());
   EXPECT_TRUE(decoded.entries.empty());
 }
 
-TEST(MessageTest, WrongTypeTagThrows) {
+TEST(MessageTest, WrongTypeTagRejected) {
   LoadInquiry inquiry;
   inquiry.seq = 1;
   const auto bytes = inquiry.encode();
-  EXPECT_THROW(LoadReply::decode(bytes), InvariantError);
-  EXPECT_THROW(ServiceRequest::decode(bytes), InvariantError);
+  EXPECT_FALSE(decodes<LoadReply>(bytes));
+  EXPECT_FALSE(decodes<ServiceRequest>(bytes));
 }
 
-TEST(MessageTest, EmptyDatagramThrows) {
-  EXPECT_THROW(peek_type({}), InvariantError);
+TEST(MessageTest, EmptyDatagramHasNoType) {
+  EXPECT_EQ(peek_type({}), MsgType{});
 }
 
 TEST(MessageTest, ElectionProtocolRoundTrips) {
   VoteRequest request;
   request.term = 0xabcdef0123456789ull;
   request.candidate = 4;
-  const auto drequest = VoteRequest::decode(request.encode());
+  const auto drequest = must_decode<VoteRequest>(request.encode());
   EXPECT_EQ(drequest.term, request.term);
   EXPECT_EQ(drequest.candidate, 4);
 
@@ -287,24 +287,24 @@ TEST(MessageTest, ElectionProtocolRoundTrips) {
   reply.term = 17;
   reply.voter = 2;
   reply.granted = true;
-  const auto dreply = VoteReply::decode(reply.encode());
+  const auto dreply = must_decode<VoteReply>(reply.encode());
   EXPECT_EQ(dreply.term, 17u);
   EXPECT_EQ(dreply.voter, 2);
   EXPECT_TRUE(dreply.granted);
   reply.granted = false;
-  EXPECT_FALSE(VoteReply::decode(reply.encode()).granted);
+  EXPECT_FALSE(must_decode<VoteReply>(reply.encode()).granted);
 
   Heartbeat heartbeat;
   heartbeat.term = 3;
   heartbeat.leader = 0;
-  const auto dheartbeat = Heartbeat::decode(heartbeat.encode());
+  const auto dheartbeat = must_decode<Heartbeat>(heartbeat.encode());
   EXPECT_EQ(dheartbeat.term, 3u);
   EXPECT_EQ(dheartbeat.leader, 0);
 
   HeartbeatAck ack;
   ack.term = 3;
   ack.follower = 1;
-  const auto dack = HeartbeatAck::decode(ack.encode());
+  const auto dack = must_decode<HeartbeatAck>(ack.encode());
   EXPECT_EQ(dack.term, 3u);
   EXPECT_EQ(dack.follower, 1);
 }
@@ -315,7 +315,7 @@ TEST(MessageTest, RedirectRoundTrip) {
   redirect.term = 9;
   redirect.leader = 2;
   redirect.leader_port = 40123;
-  const auto decoded = Redirect::decode(redirect.encode());
+  const auto decoded = must_decode<Redirect>(redirect.encode());
   EXPECT_EQ(decoded.seq, redirect.seq);
   EXPECT_EQ(decoded.term, 9u);
   EXPECT_EQ(decoded.leader, 2);
@@ -324,7 +324,7 @@ TEST(MessageTest, RedirectRoundTrip) {
   // The "election in progress" form: no known leader.
   Redirect unknown;
   unknown.seq = 1;
-  const auto dunknown = Redirect::decode(unknown.encode());
+  const auto dunknown = must_decode<Redirect>(unknown.encode());
   EXPECT_EQ(dunknown.leader, -1);
   EXPECT_EQ(dunknown.leader_port, 0);
 }
@@ -440,46 +440,46 @@ TEST_P(MessageTruncation, AllPrefixesRejected) {
     const auto prefix = all.subspan(0, len);
     switch (GetParam()) {
       case 0:
-        EXPECT_THROW(LoadInquiry::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<LoadInquiry>(prefix));
         break;
       case 1:
-        EXPECT_THROW(LoadReply::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<LoadReply>(prefix));
         break;
       case 2:
-        EXPECT_THROW(ServiceRequest::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<ServiceRequest>(prefix));
         break;
       case 3:
-        EXPECT_THROW(ServiceResponse::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<ServiceResponse>(prefix));
         break;
       case 4:
-        EXPECT_THROW(Publish::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<Publish>(prefix));
         break;
       case 5:
-        EXPECT_THROW(TraceInquiry::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<TraceInquiry>(prefix));
         break;
       case 6:
-        EXPECT_THROW(TraceReply::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<TraceReply>(prefix));
         break;
       case 7:
-        EXPECT_THROW(VoteRequest::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<VoteRequest>(prefix));
         break;
       case 8:
-        EXPECT_THROW(VoteReply::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<VoteReply>(prefix));
         break;
       case 9:
-        EXPECT_THROW(Heartbeat::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<Heartbeat>(prefix));
         break;
       case 10:
-        EXPECT_THROW(HeartbeatAck::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<HeartbeatAck>(prefix));
         break;
       case 11:
-        EXPECT_THROW(Redirect::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<Redirect>(prefix));
         break;
       case 12:
-        EXPECT_THROW(DecisionInquiry::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<DecisionInquiry>(prefix));
         break;
       case 13:
-        EXPECT_THROW(DecisionReply::decode(prefix), InvariantError);
+        EXPECT_FALSE(decodes<DecisionReply>(prefix));
         break;
     }
   }
@@ -489,11 +489,10 @@ INSTANTIATE_TEST_SUITE_P(AllMessageTypes, MessageTruncation,
                          ::testing::Range(0, 14));
 
 // ---------------------------------------------------------------------------
-// Hot-path codec surfaces: for every one of the 12 message types,
-// encode_into must be byte-identical to encode(), refuse too-small buffers
-// without writing past them, and try_decode must accept exactly what
-// decode() accepts while rejecting every truncation and a wrong type tag
-// without throwing.
+// Codec surface properties: for every message type, encode_into must be
+// byte-identical to encode(), refuse too-small buffers without writing past
+// them, and try_decode must accept the full encoding while rejecting every
+// truncation and a wrong type tag without throwing.
 
 template <class Msg>
 void CheckWireSurfaces(const Msg& msg) {
@@ -517,17 +516,15 @@ void CheckWireSurfaces(const Msg& msg) {
         << "buffer of " << len << " accepted";
   }
 
-  // Both decode surfaces accept the full encoding...
+  // try_decode accepts the full encoding...
   Msg accepted;
   EXPECT_TRUE(Msg::try_decode(legacy, accepted));
-  EXPECT_NO_THROW(Msg::decode(legacy));
 
   // ...and reject every proper prefix (truncated datagram).
   for (std::size_t len = 0; len < legacy.size(); ++len) {
     const std::span<const std::uint8_t> prefix(legacy.data(), len);
     Msg scratch;
     EXPECT_FALSE(Msg::try_decode(prefix, scratch)) << "prefix " << len;
-    EXPECT_THROW(Msg::decode(prefix), InvariantError) << "prefix " << len;
   }
 
   // A wrong type tag is rejected, not misparsed.
@@ -535,7 +532,6 @@ void CheckWireSurfaces(const Msg& msg) {
   wrong_tag[0] = 0xee;
   Msg scratch;
   EXPECT_FALSE(Msg::try_decode(wrong_tag, scratch));
-  EXPECT_THROW(Msg::decode(wrong_tag), InvariantError);
 }
 
 TEST(MessageHotPath, FixedTypesRoundTrip) {
@@ -805,7 +801,6 @@ TEST(MessageHotPath, TraceReplyCorruptedCountRejected) {
   bytes[32] = 0xff;
   TraceReply out;
   EXPECT_FALSE(TraceReply::try_decode(bytes, out));
-  EXPECT_THROW(TraceReply::decode(bytes), InvariantError);
 }
 
 TEST(MessageHotPath, DecisionTypesRoundTrip) {
@@ -869,7 +864,6 @@ TEST(MessageHotPath, DecisionReplyHostileInputsRejected) {
   for (int i = 29; i < 33; ++i) bytes[static_cast<std::size_t>(i)] = 0xff;
   DecisionReply out;
   EXPECT_FALSE(DecisionReply::try_decode(bytes, out));
-  EXPECT_THROW(DecisionReply::decode(bytes), InvariantError);
 
   // A per-record polled count past the inline cap is hostile (it would
   // walk the reader past the record boundary): rejected, never clamped.
@@ -957,7 +951,6 @@ TEST(MessageHotPath, GarbageRejectedWithoutThrowing) {
   bytes[2] = 0xff;
   Publish publish_out;
   EXPECT_FALSE(Publish::try_decode(bytes, publish_out));
-  EXPECT_THROW(Publish::decode(bytes), InvariantError);
 
   // A corrupted SnapshotReply entry count that the remaining bytes cannot
   // possibly hold must be rejected before any storage is reserved.
@@ -970,7 +963,6 @@ TEST(MessageHotPath, GarbageRejectedWithoutThrowing) {
   reply_bytes[12] = 0xff;
   SnapshotReply reply_out;
   EXPECT_FALSE(SnapshotReply::try_decode(reply_bytes, reply_out));
-  EXPECT_THROW(SnapshotReply::decode(reply_bytes), InvariantError);
 
   // Random-looking bytes under every valid tag: try_decode must say false
   // or succeed, never throw or crash.
