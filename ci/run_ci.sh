@@ -24,7 +24,10 @@
 #                       lock-free registry/trace-ring/decision-ring record
 #                       paths, the scrape-during-write protocol, the
 #                       chunked TRACE_INQUIRY and DECISION_INQUIRY wire
-#                       paths, and the replicated
+#                       paths, the wire codecs (golden bytes and the
+#                       seeded mutational fuzz test over every message
+#                       type, where any out-of-bounds read is fatal
+#                       under ASan), and the replicated
 #                       directory (election state machine, replica threads,
 #                       client failover/redirect).
 #

@@ -162,10 +162,14 @@ TEST(DecisionRingConcurrencyTest, SnapshotNeverReturnsTornRecords) {
   DecisionRing ring(32, 1);  // small ring: constant overwriting
   constexpr int kWriters = 4;
   constexpr int kIters = 20000;
+  // Writers start only once the reader is running, so the scrape overlaps
+  // the writes instead of racing thread start-up.
+  std::atomic<bool> reading{false};
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&ring, w] {
+    writers.emplace_back([&ring, &reading, w] {
+      while (!reading.load()) std::this_thread::yield();
       for (int i = 0; i < kIters; ++i) {
         const auto tag =
             static_cast<std::uint64_t>(w) * kIters + static_cast<unsigned>(i);
@@ -185,6 +189,7 @@ TEST(DecisionRingConcurrencyTest, SnapshotNeverReturnsTornRecords) {
   }
   int snapshots = 0;
   std::thread reader([&] {
+    reading.store(true);
     while (!stop.load(std::memory_order_relaxed)) {
       for (const DecisionRecord& rec : ring.snapshot()) {
         EXPECT_EQ(rec.request_id, static_cast<std::uint64_t>(rec.at_ns));

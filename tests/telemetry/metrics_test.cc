@@ -110,10 +110,14 @@ TEST(RegistryConcurrencyTest, ScrapeDuringHeavyWritesNeverTearsCounters) {
   Registry registry;
   constexpr int kWriters = 4;
   constexpr int kIters = 50000;
+  // Writers start only once the reader is running, so the scrape overlaps
+  // the writes instead of racing thread start-up.
+  std::atomic<bool> reading{false};
   std::atomic<bool> stop{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&registry] {
+    writers.emplace_back([&registry, &reading] {
+      while (!reading.load()) std::this_thread::yield();
       Counter c = registry.counter("paired");
       Histogram h = registry.histogram("latency_ms");
       for (int i = 0; i < kIters; ++i) {
@@ -127,6 +131,7 @@ TEST(RegistryConcurrencyTest, ScrapeDuringHeavyWritesNeverTearsCounters) {
   std::int64_t last_counter = 0;
   int scrapes = 0;
   std::thread scraper([&] {
+    reading.store(true);
     while (!stop.load(std::memory_order_relaxed)) {
       const MetricsSnapshot snap = registry.snapshot();
       ++scrapes;
