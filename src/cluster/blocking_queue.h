@@ -1,9 +1,13 @@
-// Bounded-unbounded MPMC blocking queue for the server request queue.
+// Bounded-unbounded MPMC blocking queue between a receive thread and a
+// worker thread pool.
 //
 // The paper's server node keeps "a service queue and a worker thread pool";
-// this queue is that service queue. close() wakes all waiters and makes
-// further pops return nullopt once drained, which is how server shutdown
-// propagates to workers without sentinel values.
+// Neptune's ServiceNode, whose workers run real handlers, uses this queue
+// as that service queue. (cluster::ServerNode emulates service as a timed
+// occupancy and keeps its FIFO inside its single event loop instead.)
+// close() wakes all waiters and makes further pops return nullopt once
+// drained, which is how node shutdown propagates to workers without
+// sentinel values.
 //
 // Storage is a power-of-two ring buffer rather than std::deque: a deque
 // allocates and frees map blocks as the head chases the tail, so even a

@@ -29,6 +29,7 @@ void BroadcastChannel::start() {
 
 void BroadcastChannel::stop() {
   if (!running_.exchange(false)) return;
+  waker_.wake();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -50,6 +51,9 @@ std::size_t BroadcastChannel::subscriber_count() const {
 void BroadcastChannel::recv_loop() {
   net::Poller poller;
   poller.add(socket_.fd(), 0);
+  // Readable only after stop(): the wakeup ends the wait early, the
+  // empty drain below is harmless, and the loop condition then exits.
+  poller.add(waker_.fd(), 1);
   std::array<std::uint8_t, 128> buf{};
   while (running_.load(std::memory_order_relaxed)) {
     if (poller.wait(50 * kMillisecond).empty()) continue;

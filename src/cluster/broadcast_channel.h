@@ -18,6 +18,7 @@
 
 #include "common/time.h"
 #include "net/socket.h"
+#include "net/waker.h"
 
 namespace finelb::cluster {
 
@@ -41,6 +42,7 @@ class BroadcastChannel {
   void recv_loop();
 
   net::UdpSocket socket_;
+  net::Waker waker_;  // stop() ends the loop's wait at once
   std::atomic<bool> running_{false};
   std::thread thread_;
   mutable std::mutex mutex_;

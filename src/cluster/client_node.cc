@@ -15,7 +15,7 @@ namespace {
 constexpr std::uint64_t kServiceTag = 0;
 constexpr std::uint64_t kManagerTag = 1;
 constexpr std::uint64_t kBroadcastTag = 2;
-constexpr std::uint64_t kPollTagBase = 1000;
+constexpr std::uint64_t kPollTag = 3;
 constexpr std::uint32_t kSubscribeTtlMs = 5000;
 
 // Encodes a fixed-size message onto the stack and sends it; no heap
@@ -118,13 +118,11 @@ ClientNode::ClientNode(ClientOptions options,
   service_socket_.attach_fault_injector(options_.fault);
   poller_.add(service_socket_.fd(), kServiceTag);
 
-  poll_sockets_.reserve(options_.servers.size());
-  for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-    poll_sockets_.emplace_back();
-    poll_sockets_.back().connect(options_.servers[i].load_addr);
-    poll_sockets_.back().attach_fault_injector(options_.fault);
-    poller_.add(poll_sockets_.back().fd(), kPollTagBase + i);
-  }
+  poll_socket_.set_buffer_sizes(1 << 21);
+  poll_socket_.attach_fault_injector(options_.fault);
+  poller_.add(poll_socket_.fd(), kPollTag);
+  poll_send_batch_ =
+      net::DatagramBatch(options_.servers.size(), net::kMaxFixedMsgSize);
 
   if ((options_.directory || !options_.directory_replicas.empty()) &&
       options_.mapping_refresh > 0) {
@@ -222,8 +220,8 @@ void ClientNode::run() {
         drain_manager_socket();
       } else if (ready.tag == kBroadcastTag) {
         drain_broadcast_socket();
-      } else {
-        drain_poll_socket(static_cast<std::size_t>(ready.tag - kPollTagBase));
+      } else if (ready.tag == kPollTag) {
+        drain_poll_socket();
       }
     }
   }
@@ -412,15 +410,19 @@ void ClientNode::start_poll_round(const Access& access) {
   std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
   const std::size_t n = inquiry.encode_into(buf);
   const std::span<const std::uint8_t> payload(buf.data(), n);
+  poll_send_batch_.clear();
   for (const ServerId target : round.targets) {
-    if (poll_sockets_[static_cast<std::size_t>(target)].send(payload)) {
-      ++stats_.polls_sent;
-      m_polls_sent_.inc();
-    } else {
-      ++stats_.send_failures;
-      m_send_failures_.inc();
-    }
+    poll_send_batch_.append(
+        payload, options_.servers[static_cast<std::size_t>(target)].load_addr);
   }
+  const auto sent =
+      static_cast<std::int64_t>(poll_socket_.send_batch(poll_send_batch_));
+  const auto failed =
+      static_cast<std::int64_t>(poll_send_batch_.size()) - sent;
+  stats_.polls_sent += sent;
+  m_polls_sent_.add(sent);
+  stats_.send_failures += failed;
+  m_send_failures_.add(failed);
   if (traced) {
     trace_.record(request_key(access.index),
                   telemetry::TracePoint::kPollSent, /*node=*/-1,
@@ -639,9 +641,19 @@ void ClientNode::drain_broadcast_socket() {
   }
 }
 
-void ClientNode::drain_poll_socket(std::size_t server_index) {
-  while (poll_sockets_[server_index].recv_batch(recv_batch_) > 0) {
+std::size_t ClientNode::endpoint_of(const net::Address& from) const {
+  std::size_t i = 0;
+  while (i < options_.servers.size() && options_.servers[i].load_addr != from) {
+    ++i;
+  }
+  return i;
+}
+
+void ClientNode::drain_poll_socket() {
+  while (poll_socket_.recv_batch(recv_batch_) > 0) {
     for (std::size_t d = 0; d < recv_batch_.size(); ++d) {
+      const std::size_t server_index = endpoint_of(recv_batch_.address(d));
+      if (server_index == options_.servers.size()) continue;  // not polled
       net::LoadReply reply;
       if (!net::LoadReply::try_decode(recv_batch_.payload(d), reply)) {
         continue;

@@ -6,7 +6,11 @@
 // through connected UDP sockets and asynchronously collects the responses
 // using select":
 //
-//   * one connected UDP socket per server for load inquiries;
+//   * one unconnected UDP socket for load inquiries to every server. A
+//     round's inquiries leave in one sendmmsg; each reply is mapped back to
+//     its endpoint by source address, and replies from any other address
+//     are dropped — the filtering a connected socket per server would do
+//     in the kernel, without holding one fd per server;
 //   * one UDP socket for service requests/responses;
 //   * one connected UDP socket to the centralized load-index manager (used
 //     only when emulating IDEAL).
@@ -262,7 +266,10 @@ class ClientNode {
   void drain_service_socket();
   void drain_manager_socket();
   void drain_broadcast_socket();
-  void drain_poll_socket(std::size_t server_index);
+  void drain_poll_socket();
+  /// Endpoint index whose load address is `from`, or servers.size() when
+  /// the address belongs to no endpoint.
+  std::size_t endpoint_of(const net::Address& from) const;
   void fire_deadlines(SimTime now);
   std::optional<SimTime> next_deadline(SimTime next_arrival) const;
   bool should_record(const Access& access) const {
@@ -289,7 +296,8 @@ class ClientNode {
   std::vector<ServerId> server_ids_;
 
   net::UdpSocket service_socket_;
-  std::vector<net::UdpSocket> poll_sockets_;  // one per server, connected
+  net::UdpSocket poll_socket_;  // unconnected; inquiries to every server
+  net::DatagramBatch poll_send_batch_;  // one round's inquiries
   // Reused across every drain_* call: responses and poll replies arrive in
   // bursts, and one recvmmsg per burst beats one recvfrom per datagram.
   net::DatagramBatch recv_batch_{32, 256};

@@ -99,6 +99,7 @@ void DirectoryServer::start() {
 
 void DirectoryServer::stop() {
   if (!running_.exchange(false)) return;
+  waker_.wake();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -114,6 +115,9 @@ std::vector<net::Publish> DirectoryServer::live_entries(
 void DirectoryServer::recv_loop() {
   net::Poller poller;
   poller.add(socket_.fd(), 0);
+  // Readable only after stop(): the wakeup ends the wait early, the
+  // empty drain below is harmless, and the loop condition then exits.
+  poller.add(waker_.fd(), 1);
   std::array<std::uint8_t, 2048> buf{};
   while (running_.load(std::memory_order_relaxed)) {
     if (poller.wait(50 * kMillisecond).empty()) continue;
@@ -265,12 +269,17 @@ std::vector<ServiceEndpoint> DirectoryClient::wait_for_servers(
     SimDuration deadline_from_now) {
   const SimTime deadline = net::monotonic_now() + deadline_from_now;
   std::vector<ServiceEndpoint> endpoints;
+  // The first fetch often races the servers' first publishes, which land
+  // moments later: retry soon (1 ms), doubling to a 20 ms cap.
+  SimDuration pause = kMillisecond;
+  constexpr SimDuration kPauseCap = 20 * kMillisecond;
   for (;;) {
     if (auto got = try_fetch(service)) endpoints = std::move(*got);
     if (endpoints.size() >= min_servers || net::monotonic_now() >= deadline) {
       return endpoints;
     }
-    net::sleep_for(20 * kMillisecond);
+    net::sleep_for(pause);
+    pause = std::min(pause * 2, kPauseCap);
   }
 }
 

@@ -33,6 +33,7 @@
 #include "net/message.h"
 #include "net/poller.h"
 #include "net/socket.h"
+#include "net/waker.h"
 
 namespace finelb::cluster {
 
@@ -146,6 +147,7 @@ class DirectoryServer {
   void recv_loop();
 
   net::UdpSocket socket_;
+  net::Waker waker_;  // stop() ends the loop's wait at once
   std::atomic<bool> running_{false};
   std::thread thread_;
   DirectoryTable table_;
@@ -186,7 +188,8 @@ class DirectoryClient {
                                      SimDuration timeout = kSecond);
 
   /// Polls try_fetch() until at least `min_servers` distinct servers are
-  /// live or `deadline_from_now` elapses; returns the last snapshot either
+  /// live or `deadline_from_now` elapses, pausing 1 ms between fetches and
+  /// doubling the pause up to 20 ms; returns the last snapshot either
   /// way. Never throws: a replicated directory may be mid-election while
   /// the experiment is starting up.
   std::vector<ServiceEndpoint> wait_for_servers(

@@ -237,7 +237,7 @@ PrototypeResult run_prototype(const PrototypeConfig& config,
   }
 
   // Kill-control thread: executes the kill schedule against wall time.
-  // ServerNode::stop() joins the victim's threads, after which it stops
+  // ServerNode::stop() joins the victim's event loop, after which it stops
   // answering polls, serving requests, and refreshing its directory entry —
   // exactly the failure mode the hardening is meant to survive.
   std::atomic<bool> clients_done{false};

@@ -63,6 +63,7 @@ void HaDirectoryReplica::start() {
 
 void HaDirectoryReplica::stop() {
   if (!running_.exchange(false)) return;
+  waker_.wake();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -254,6 +255,7 @@ void HaDirectoryReplica::run_loop() {
   net::Poller poller;
   poller.add(data_socket_.fd(), 0);
   poller.add(control_socket_.fd(), 1);
+  poller.add(waker_.fd(), 2);  // readable only after stop()
   std::array<std::uint8_t, 2048> buf{};
   // Poll granularity bounds how late a timer (heartbeat, election
   // deadline) can fire; a quarter of the heartbeat interval keeps jitter
@@ -276,7 +278,7 @@ void HaDirectoryReplica::run_loop() {
           if (data.empty()) continue;
           handle_data(data, dgram->from, now);
         }
-      } else {
+      } else if (ev.tag == 1) {
         control_ready = true;
       }
     }

@@ -28,6 +28,7 @@
 #include "fault/fault.h"
 #include "net/message.h"
 #include "net/socket.h"
+#include "net/waker.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -110,6 +111,7 @@ class HaDirectoryReplica {
   std::vector<net::Address> data_addrs_;
   ElectionCore election_;
   DirectoryTable table_;
+  net::Waker waker_;  // stop() ends the loop's wait at once
   std::atomic<bool> running_{false};
   std::thread thread_;
 

@@ -26,6 +26,7 @@ void IdealManager::start() {
 
 void IdealManager::stop() {
   if (!running_.exchange(false)) return;
+  waker_.wake();
   if (thread_.joinable()) thread_.join();
 }
 
@@ -44,6 +45,9 @@ std::vector<std::int32_t> IdealManager::tracked_queues() const {
 void IdealManager::recv_loop() {
   net::Poller poller;
   poller.add(socket_.fd(), 0);
+  // Readable only after stop(): the wakeup ends the wait early, the
+  // empty drain below is harmless, and the loop condition then exits.
+  poller.add(waker_.fd(), 1);
   std::array<std::uint8_t, 128> buf{};
   while (running_.load(std::memory_order_relaxed)) {
     if (poller.wait(50 * kMillisecond).empty()) continue;

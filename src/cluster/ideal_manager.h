@@ -23,6 +23,7 @@
 #include "common/rng.h"
 #include "fault/fault.h"
 #include "net/socket.h"
+#include "net/waker.h"
 
 namespace finelb::cluster {
 
@@ -55,6 +56,7 @@ class IdealManager {
   void recv_loop();
 
   net::UdpSocket socket_;
+  net::Waker waker_;  // stop() ends the loop's wait at once
   std::atomic<bool> running_{false};
   std::thread thread_;
   mutable std::mutex mutex_;

@@ -3,25 +3,34 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
 
 #include "common/check.h"
 #include "common/log.h"
-#include "cluster/blocking_queue.h"
 #include "net/clock.h"
 #include "net/poller.h"
 #include "telemetry/export.h"
 #include "telemetry/scrape.h"
 
 namespace finelb::cluster {
-
-class ServerNode::Queue : public BlockingQueue<WorkItem> {};
+namespace {
+constexpr std::uint64_t kServiceTag = 0;
+constexpr std::uint64_t kLoadTag = 1;
+constexpr std::uint64_t kWakeTag = 2;
+// Longest sleep with nothing scheduled. It bounds how late a fault-delayed
+// datagram surfaces (they only appear on a later socket touch); stop()
+// does not wait for it.
+constexpr SimDuration kIdleWait = 50 * kMillisecond;
+}  // namespace
 
 ServerNode::ServerNode(ServerOptions options)
     : options_(options),
       trace_(options_.trace_capacity == 0 ? 1 : options_.trace_capacity,
              options_.trace_sample_period),
-      queue_(std::make_unique<Queue>()) {
+      reply_rng_(options_.seed * 2654435761u + 17),
+      broadcast_rng_(options_.seed * 40503u + 271) {
   FINELB_CHECK(options_.worker_threads >= 1, "need at least one worker");
+  slots_.resize(static_cast<std::size_t>(options_.worker_threads));
   service_socket_.set_buffer_sizes(1 << 21);
   load_socket_.set_buffer_sizes(1 << 21);
   service_socket_.attach_fault_injector(options_.fault);
@@ -64,12 +73,17 @@ void ServerNode::enable_publishing(std::vector<net::Address> directories,
   FINELB_CHECK(!running_.load(), "enable_publishing must precede start()");
   FINELB_CHECK(!directories.empty(), "need at least one directory target");
   FINELB_CHECK(interval > 0 && ttl > 0, "publish interval and ttl required");
+  net::Publish announcement;
+  announcement.service = std::move(service);
+  announcement.partition = partition;
+  announcement.server = options_.id;
+  announcement.service_port = service_address().port;
+  announcement.load_port = load_address().port;
+  announcement.ttl_ms = static_cast<std::uint32_t>(to_ms(ttl));
   publish_enabled_ = true;
   directories_ = std::move(directories);
-  publish_service_ = std::move(service);
-  publish_partition_ = partition;
+  publish_payload_ = announcement.encode();
   publish_interval_ = interval;
-  publish_ttl_ = ttl;
 }
 
 void ServerNode::enable_load_broadcast(const net::Address& channel,
@@ -87,334 +101,306 @@ void ServerNode::start() {
   FINELB_CHECK(!started_, "server nodes are single-shot: already started");
   started_ = true;
   running_.store(true);
-  threads_.emplace_back([this] { service_recv_loop(); });
-  threads_.emplace_back([this] { load_recv_loop(); });
-  for (int i = 0; i < options_.worker_threads; ++i) {
-    threads_.emplace_back([this] { worker_loop(); });
-  }
-  if (publish_enabled_) {
-    threads_.emplace_back([this] { publish_loop(); });
-  }
-  if (broadcast_enabled_) {
-    threads_.emplace_back([this] { broadcast_loop(); });
-  }
+  // First announcement from the caller's thread, before the loop exists:
+  // it is queued at the directory when start() returns, so a client that
+  // fetches the mapping right after starting its servers finds them all.
+  if (publish_enabled_) publish(net::monotonic_now());
+  thread_ = std::thread([this] { run_loop(); });
 }
 
 void ServerNode::stop() {
   if (!running_.exchange(false)) return;
-  queue_->close();
-  for (auto& t : threads_) {
-    if (t.joinable()) t.join();
-  }
-  threads_.clear();
+  waker_.wake();
+  if (thread_.joinable()) thread_.join();
 }
 
-void ServerNode::service_recv_loop() {
+void ServerNode::run_loop() {
   net::Poller poller;
-  poller.add(service_socket_.fd(), 0);
-  net::DatagramBatch batch(32, 256);
+  poller.add(service_socket_.fd(), kServiceTag);
+  poller.add(load_socket_.fd(), kLoadTag);
+  poller.add(waker_.fd(), kWakeTag);
   while (running_.load(std::memory_order_relaxed)) {
-    if (poller.wait(50 * kMillisecond).empty()) continue;
-    // Drain the burst with one recvmmsg per batch instead of one recvfrom
-    // per request: under fine-grain load many arrivals pile up per wakeup.
-    while (service_socket_.recv_batch(batch) > 0) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        WorkItem item;
-        if (!net::ServiceRequest::try_decode(batch.payload(i), item.request)) {
-          FINELB_LOG(kWarn, "server") << "dropping malformed service request";
+    bool service_ready = false;
+    bool load_ready = false;
+    for (const net::Ready& ready :
+         poller.wait(next_wait(net::monotonic_now()))) {
+      service_ready |= ready.tag == kServiceTag;
+      load_ready |= ready.tag == kLoadTag;
+    }
+    // Service that came due while we slept finishes before new arrivals
+    // count themselves into the queue or read its length.
+    run_slots();
+    // A socket with a fault injector is drained on every wakeup: its
+    // delayed datagrams surface only when the socket is touched.
+    if (service_ready || service_socket_.fault_injector()) {
+      drain_service_socket();
+    }
+    if (load_ready || load_socket_.fault_injector()) drain_load_socket();
+    run_slots();
+    const SimTime now = net::monotonic_now();
+    send_due_replies(now);
+    if (publish_enabled_ && now >= next_publish_) publish(now);
+    if (broadcast_enabled_ && now >= next_broadcast_) broadcast(now);
+  }
+}
+
+SimDuration ServerNode::next_wait(SimTime now) const {
+  SimTime earliest = now + kIdleWait;
+  for (const Slot& slot : slots_) {
+    if (slot.busy) earliest = std::min(earliest, slot.deadline);
+  }
+  for (const DelayedReply& d : delayed_) earliest = std::min(earliest, d.due);
+  if (publish_enabled_) earliest = std::min(earliest, next_publish_);
+  if (broadcast_enabled_) earliest = std::min(earliest, next_broadcast_);
+  return std::max<SimDuration>(earliest - now, 0);
+}
+
+void ServerNode::drain_service_socket() {
+  // Drain the burst with one recvmmsg per batch instead of one recvfrom
+  // per request: under fine-grain load many arrivals pile up per wakeup.
+  // A short batch means the socket is empty; skip the confirming call.
+  std::size_t n = 0;
+  do {
+    n = service_socket_.recv_batch(request_batch_);
+    for (std::size_t i = 0; i < n; ++i) {
+      WorkItem item;
+      if (!net::ServiceRequest::try_decode(request_batch_.payload(i),
+                                           item.request)) {
+        FINELB_LOG(kWarn, "server") << "dropping malformed service request";
+        continue;
+      }
+      item.reply_to = request_batch_.address(i);
+      item.enqueued_at = net::monotonic_now();
+      // Load index covers queued + in-service accesses: increment on
+      // acceptance, decrement after the response is sent (finish_service).
+      item.queue_at_arrival = qlen_.fetch_add(1, std::memory_order_relaxed);
+      const std::int32_t now_len = item.queue_at_arrival + 1;
+      if (now_len > max_qlen_.load(std::memory_order_relaxed)) {
+        max_qlen_.store(now_len, std::memory_order_relaxed);
+      }
+      fifo_.push_back(item);
+    }
+  } while (n == request_batch_.capacity());
+}
+
+void ServerNode::run_slots() {
+  const SimTime now = net::monotonic_now();
+  for (Slot& slot : slots_) {
+    if (slot.busy && slot.deadline <= now) finish_service(slot);
+    // A zero-length service finishes at once; keep the slot turning.
+    while (!slot.busy && fifo_head_ < fifo_.size()) {
+      start_service(slot);
+      if (slot.deadline <= net::monotonic_now()) finish_service(slot);
+    }
+  }
+}
+
+void ServerNode::start_service(Slot& slot) {
+  slot.item = fifo_[fifo_head_++];
+  // Drop the consumed prefix once it is half the vector (all of it when
+  // the queue empties): amortised O(1) per request, no allocation, and
+  // capacity stays bounded by the longest backlog.
+  if (2 * fifo_head_ >= fifo_.size()) {
+    fifo_.erase(fifo_.begin(),
+                fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
+    fifo_head_ = 0;
+  }
+  const WorkItem& item = slot.item;
+  slot.busy = true;
+  slot.start = net::monotonic_now();
+  const SimDuration queue_wait = slot.start - item.enqueued_at;
+  m_queue_wait_ms_.record(static_cast<double>(queue_wait) / 1e6);
+  // A wire trace_id means the issuing client sampled this request: record
+  // it whenever the ring is live. Requests without propagated context
+  // fall back to this node's own sampling period.
+  slot.traced = (item.request.trace_id != 0 && trace_.active()) ||
+                trace_.sampled(item.request.request_id);
+  if (slot.traced) {
+    trace_.record(item.request.request_id,
+                  telemetry::TracePoint::kServiceStart, options_.id,
+                  slot.start, queue_wait);
+  }
+  slot.deadline = slot.start + static_cast<SimDuration>(
+                                   item.request.service_us) * kMicrosecond;
+}
+
+void ServerNode::finish_service(Slot& slot) {
+  const WorkItem& item = slot.item;
+  // Count the service before its response leaves, so a client holding the
+  // response can never read a served count that misses it. Telemetry
+  // first: anyone polling counters() for completion then scraping the
+  // registry sees the served count already mirrored.
+  m_served_.inc();
+  served_.fetch_add(1, std::memory_order_relaxed);
+  net::ServiceResponse response;
+  response.request_id = item.request.request_id;
+  response.server = options_.id;
+  response.queue_at_arrival = item.queue_at_arrival;
+  response.trace_id = item.request.trace_id;
+  if (item.request.trace_id != 0) {
+    response.server_ns = net::monotonic_now();
+  }
+  std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
+  const std::size_t n = response.encode_into(buf);
+  if (!service_socket_.send_to({buf.data(), n}, item.reply_to)) {
+    count_send_failures(1);
+  }
+  const SimTime done = net::monotonic_now();
+  m_service_time_ms_.record(static_cast<double>(done - slot.start) / 1e6);
+  if (slot.traced) {
+    trace_.record(item.request.request_id, telemetry::TracePoint::kResponse,
+                  options_.id, done, item.queue_at_arrival);
+  }
+  slot.busy = false;
+  qlen_.fetch_sub(1, std::memory_order_relaxed);
+}
+
+void ServerNode::send_reply(std::uint64_t seq, std::uint64_t trace_id,
+                            std::int64_t origin_ns, const net::Address& to) {
+  net::LoadReply reply;
+  reply.seq = seq;
+  // Queue length at *reply* time: the paper's slow replies carry stale
+  // indexes precisely because the queue moved while they waited.
+  reply.queue_length = qlen_.load(std::memory_order_relaxed);
+  reply.trace_id = trace_id;
+  reply.origin_ns = origin_ns;
+  reply.server_ns = net::monotonic_now();
+  if (trace_id != 0 && trace_.active()) {
+    trace_.record(trace_id, telemetry::TracePoint::kLoadReplied, options_.id,
+                  reply.server_ns, reply.queue_length);
+  }
+  std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
+  const std::size_t n = reply.encode_into(buf);
+  if (!load_socket_.send_to({buf.data(), n}, to)) count_send_failures(1);
+  inquiries_.fetch_add(1, std::memory_order_relaxed);
+  m_inquiries_.inc();
+}
+
+void ServerNode::drain_load_socket() {
+  std::size_t received = 0;
+  do {
+    received = load_socket_.recv_batch(inquiry_batch_);
+    reply_batch_.clear();
+    // One clock read per drained burst: every reply in the burst carries
+    // the same server_ns. Bursts resolve within microseconds, well inside
+    // ClockSync's RTT/2 error bound, and the fast path stays one vDSO
+    // call per batch instead of one per inquiry.
+    const SimTime burst_ns = net::monotonic_now();
+    for (std::size_t i = 0; i < received; ++i) {
+      net::LoadInquiry inquiry;
+      if (!net::LoadInquiry::try_decode(inquiry_batch_.payload(i), inquiry)) {
+        // Not a load inquiry: the observability pull channel shares this
+        // socket, so check for a stats or trace scrape before dropping
+        // (cold paths — answering allocates, which is fine off the
+        // polling fast path).
+        net::StatsInquiry stats;
+        if (net::StatsInquiry::try_decode(inquiry_batch_.payload(i), stats)) {
+          answer_stats_inquiry(stats.seq, inquiry_batch_.address(i));
           continue;
         }
-        item.reply_to = batch.address(i);
-        item.enqueued_at = net::monotonic_now();
-        // Load index covers queued + in-service accesses: increment on
-        // acceptance, decrement after the response is sent (worker_loop).
-        item.queue_at_arrival = qlen_.fetch_add(1, std::memory_order_relaxed);
-        std::int32_t expected = max_qlen_.load(std::memory_order_relaxed);
-        const std::int32_t now_len = item.queue_at_arrival + 1;
-        while (now_len > expected &&
-               !max_qlen_.compare_exchange_weak(expected, now_len)) {
+        net::TraceInquiry trace_inquiry;
+        if (net::TraceInquiry::try_decode(inquiry_batch_.payload(i),
+                                          trace_inquiry) &&
+            !telemetry::answer_ring_inquiry(
+                load_socket_, inquiry_batch_.address(i), options_.id,
+                trace_inquiry, trace_.snapshot())) {
+          count_send_failures(1);
         }
-        queue_->push(std::move(item));
+        continue;
+      }
+      const std::int32_t qlen = qlen_.load(std::memory_order_relaxed);
+      if (options_.inject_busy_reply_delay && qlen > 0) {
+        // Scheduler-contention stand-in (see header comment): rare long
+        // stall or short heavy-tailed stack delay.
+        SimDuration delay = 0;
+        if (reply_rng_.bernoulli(options_.busy_slow_prob)) {
+          delay = std::min<SimDuration>(
+              options_.busy_slow_min +
+                  static_cast<SimDuration>(reply_rng_.exponential(
+                      static_cast<double>(options_.busy_slow_excess))),
+              options_.busy_slow_cap);
+        } else {
+          const double u = std::max(1.0 - reply_rng_.uniform01(), 1e-12);
+          const double delay_ns =
+              static_cast<double>(options_.busy_reply_xm) *
+              std::pow(u, -1.0 / options_.busy_reply_alpha);
+          delay = std::min(static_cast<SimDuration>(delay_ns),
+                           options_.busy_reply_cap);
+        }
+        delayed_.push_back({inquiry.seq, inquiry.trace_id, inquiry.origin_ns,
+                            inquiry_batch_.address(i),
+                            net::monotonic_now() + delay});
+      } else {
+        // Queue length at *reply* time, as in send_reply: batching spans
+        // one drained burst, so the index is at most a burst stale.
+        net::LoadReply reply;
+        reply.seq = inquiry.seq;
+        reply.queue_length = qlen;
+        reply.trace_id = inquiry.trace_id;
+        reply.origin_ns = inquiry.origin_ns;
+        reply.server_ns = burst_ns;
+        if (inquiry.trace_id != 0 && trace_.active()) {
+          trace_.record(inquiry.trace_id, telemetry::TracePoint::kLoadReplied,
+                        options_.id, burst_ns, qlen);
+        }
+        // Encode straight into the batch slot (no intermediate vector or
+        // memcpy); fall back to an immediate send when the batch is full.
+        const auto slot = reply_batch_.stage();
+        if (const std::size_t n = reply.encode_into(slot); n > 0) {
+          reply_batch_.commit(n, inquiry_batch_.address(i));
+        } else {
+          send_reply(inquiry.seq, inquiry.trace_id, inquiry.origin_ns,
+                     inquiry_batch_.address(i));
+        }
       }
     }
-  }
+    const std::size_t sent = load_socket_.send_batch(reply_batch_);
+    count_send_failures(static_cast<std::int64_t>(reply_batch_.size() - sent));
+    inquiries_.fetch_add(static_cast<std::int64_t>(reply_batch_.size()),
+                         std::memory_order_relaxed);
+    m_inquiries_.add(static_cast<std::int64_t>(reply_batch_.size()));
+  } while (received == inquiry_batch_.capacity());
 }
 
-void ServerNode::load_recv_loop() {
-  net::Poller poller;
-  poller.add(load_socket_.fd(), 0);
-  // Inquiry bursts arrive d-at-a-time (every polling client fans out d
-  // inquiries per access): drain and answer them batched, one syscall per
-  // burst in each direction.
-  net::DatagramBatch inquiries(32, 64);
-  net::DatagramBatch replies(32, 64);
-  Rng rng(options_.seed * 2654435761u + 17);
-
-  // Replies whose injected busy delay has not elapsed yet. Delays must not
-  // be served by sleeping inline: concurrent inquiries would queue behind
-  // one another and the delays would compound far beyond the modelled
-  // distribution.
-  struct DelayedReply {
-    std::uint64_t seq;
-    std::uint64_t trace_id;
-    std::int64_t origin_ns;
-    net::Address to;
-    SimTime due;
-  };
-  std::vector<DelayedReply> delayed;
-
-  const auto send_reply = [this](std::uint64_t seq, std::uint64_t trace_id,
-                                 std::int64_t origin_ns,
-                                 const net::Address& to) {
-    net::LoadReply reply;
-    reply.seq = seq;
-    // Queue length at *reply* time: the paper's slow replies carry stale
-    // indexes precisely because the queue moved while they waited.
-    reply.queue_length = qlen_.load(std::memory_order_relaxed);
-    reply.trace_id = trace_id;
-    reply.origin_ns = origin_ns;
-    reply.server_ns = net::monotonic_now();
-    if (trace_id != 0 && trace_.active()) {
-      trace_.record(trace_id, telemetry::TracePoint::kLoadReplied,
-                    options_.id, reply.server_ns, reply.queue_length);
-    }
-    std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
-    const std::size_t n = reply.encode_into(buf);
-    if (!load_socket_.send_to({buf.data(), n}, to)) {
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
-      m_send_failures_.inc();
-    }
-    inquiries_.fetch_add(1, std::memory_order_relaxed);
-    m_inquiries_.inc();
-  };
-
-  while (running_.load(std::memory_order_relaxed)) {
-    SimDuration wait = 50 * kMillisecond;
-    if (!delayed.empty()) {
-      SimTime earliest = delayed.front().due;
-      for (const DelayedReply& d : delayed) earliest = std::min(earliest, d.due);
-      wait = std::clamp<SimDuration>(earliest - net::monotonic_now(), 0, wait);
-    }
-    poller.wait(wait);
-    while (load_socket_.recv_batch(inquiries) > 0) {
-      replies.clear();
-      // One clock read per drained burst: every reply in the burst carries
-      // the same server_ns. Bursts resolve within microseconds, well inside
-      // ClockSync's RTT/2 error bound, and the fast path stays one vDSO
-      // call per batch instead of one per inquiry.
-      const SimTime burst_ns = net::monotonic_now();
-      for (std::size_t i = 0; i < inquiries.size(); ++i) {
-        net::LoadInquiry inquiry;
-        if (!net::LoadInquiry::try_decode(inquiries.payload(i), inquiry)) {
-          // Not a load inquiry: the observability pull channel shares this
-          // socket, so check for a stats or trace scrape before dropping
-          // (cold paths — answering allocates, which is fine off the
-          // polling fast path).
-          net::StatsInquiry stats;
-          if (net::StatsInquiry::try_decode(inquiries.payload(i), stats)) {
-            answer_stats_inquiry(stats.seq, inquiries.address(i));
-            continue;
-          }
-          net::TraceInquiry trace_inquiry;
-          if (net::TraceInquiry::try_decode(inquiries.payload(i),
-                                            trace_inquiry) &&
-              !telemetry::answer_ring_inquiry(load_socket_,
-                                              inquiries.address(i),
-                                              options_.id, trace_inquiry,
-                                              trace_.snapshot())) {
-            send_failures_.fetch_add(1, std::memory_order_relaxed);
-            m_send_failures_.inc();
-          }
-          continue;
-        }
-        const std::int32_t qlen = qlen_.load(std::memory_order_relaxed);
-        if (options_.inject_busy_reply_delay && qlen > 0) {
-          // Scheduler-contention stand-in (see header comment): rare long
-          // stall or short heavy-tailed stack delay.
-          SimDuration delay = 0;
-          if (rng.bernoulli(options_.busy_slow_prob)) {
-            delay = std::min<SimDuration>(
-                options_.busy_slow_min +
-                    static_cast<SimDuration>(rng.exponential(
-                        static_cast<double>(options_.busy_slow_excess))),
-                options_.busy_slow_cap);
-          } else {
-            const double u = std::max(1.0 - rng.uniform01(), 1e-12);
-            const double delay_ns =
-                static_cast<double>(options_.busy_reply_xm) *
-                std::pow(u, -1.0 / options_.busy_reply_alpha);
-            delay = std::min(static_cast<SimDuration>(delay_ns),
-                             options_.busy_reply_cap);
-          }
-          delayed.push_back({inquiry.seq, inquiry.trace_id, inquiry.origin_ns,
-                             inquiries.address(i),
-                             net::monotonic_now() + delay});
-        } else {
-          // Queue length at *reply* time, as in send_reply: batching spans
-          // one drained burst, so the index is at most a burst stale.
-          net::LoadReply reply;
-          reply.seq = inquiry.seq;
-          reply.queue_length = qlen;
-          reply.trace_id = inquiry.trace_id;
-          reply.origin_ns = inquiry.origin_ns;
-          reply.server_ns = burst_ns;
-          if (inquiry.trace_id != 0 && trace_.active()) {
-            trace_.record(inquiry.trace_id,
-                          telemetry::TracePoint::kLoadReplied, options_.id,
-                          burst_ns, qlen);
-          }
-          // Encode straight into the batch slot (no intermediate vector or
-          // memcpy); fall back to an immediate send when the batch is full.
-          const auto slot = replies.stage();
-          if (const std::size_t n = reply.encode_into(slot); n > 0) {
-            replies.commit(n, inquiries.address(i));
-          } else {
-            send_reply(inquiry.seq, inquiry.trace_id, inquiry.origin_ns,
-                       inquiries.address(i));
-          }
-        }
-      }
-      const std::size_t sent = load_socket_.send_batch(replies);
-      send_failures_.fetch_add(
-          static_cast<std::int64_t>(replies.size() - sent),
-          std::memory_order_relaxed);
-      m_send_failures_.add(static_cast<std::int64_t>(replies.size() - sent));
-      inquiries_.fetch_add(static_cast<std::int64_t>(replies.size()),
-                           std::memory_order_relaxed);
-      m_inquiries_.add(static_cast<std::int64_t>(replies.size()));
-    }
-    if (!delayed.empty()) {
-      const SimTime now = net::monotonic_now();
-      for (std::size_t i = 0; i < delayed.size();) {
-        if (delayed[i].due <= now) {
-          send_reply(delayed[i].seq, delayed[i].trace_id,
-                     delayed[i].origin_ns, delayed[i].to);
-          delayed[i] = delayed.back();
-          delayed.pop_back();
-        } else {
-          ++i;
-        }
-      }
-    }
-  }
-}
-
-void ServerNode::worker_loop() {
-  WorkItem item;
-  while (true) {
-    // Fast path for bursts: grab a queued item without touching the
-    // condition variable; only block when the queue is momentarily empty.
-    // try_pop's tri-state result distinguishes "empty, fall back to the
-    // blocking pop" from "closed and drained, exit" — the old optional
-    // API conflated the two and relied on pop() to notice shutdown.
-    switch (queue_->try_pop(item)) {
-      case PopResult::kItem:
-        break;
-      case PopResult::kClosed:
-        return;
-      case PopResult::kEmpty: {
-        auto blocked = queue_->pop();
-        if (!blocked) return;  // queue closed and drained
-        item = std::move(*blocked);
-        break;
-      }
-    }
-    const SimTime start = net::monotonic_now();
-    const SimDuration queue_wait = start - item.enqueued_at;
-    m_queue_wait_ms_.record(static_cast<double>(queue_wait) / 1e6);
-    // A wire trace_id means the issuing client sampled this request: record
-    // it whenever the ring is live. Requests without propagated context
-    // fall back to this node's own sampling period.
-    const bool traced =
-        (item.request.trace_id != 0 && trace_.active()) ||
-        trace_.sampled(item.request.request_id);
-    if (traced) {
-      trace_.record(item.request.request_id, telemetry::TracePoint::kServiceStart,
-                    options_.id, start, queue_wait);
-    }
-    const SimTime deadline =
-        start + static_cast<SimDuration>(item.request.service_us) * kMicrosecond;
-    if (options_.spin_service) {
-      net::spin_until(deadline);
+void ServerNode::send_due_replies(SimTime now) {
+  for (std::size_t i = 0; i < delayed_.size();) {
+    if (delayed_[i].due <= now) {
+      send_reply(delayed_[i].seq, delayed_[i].trace_id, delayed_[i].origin_ns,
+                 delayed_[i].to);
+      delayed_[i] = delayed_.back();
+      delayed_.pop_back();
     } else {
-      net::sleep_until(deadline);
+      ++i;
     }
-    net::ServiceResponse response;
-    response.request_id = item.request.request_id;
-    response.server = options_.id;
-    response.queue_at_arrival = item.queue_at_arrival;
-    response.trace_id = item.request.trace_id;
-    if (item.request.trace_id != 0) {
-      response.server_ns = net::monotonic_now();
-    }
-    std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
-    const std::size_t n = response.encode_into(buf);
-    if (!service_socket_.send_to({buf.data(), n}, item.reply_to)) {
-      send_failures_.fetch_add(1, std::memory_order_relaxed);
-      m_send_failures_.inc();
-    }
-    const SimTime done = net::monotonic_now();
-    m_service_time_ms_.record(static_cast<double>(done - start) / 1e6);
-    if (traced) {
-      trace_.record(item.request.request_id, telemetry::TracePoint::kResponse,
-                    options_.id, done, item.queue_at_arrival);
-    }
-    qlen_.fetch_sub(1, std::memory_order_relaxed);
-    // Telemetry first: anyone polling counters() for completion then
-    // scraping the registry sees the served count already mirrored.
-    m_served_.inc();
-    served_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-void ServerNode::publish_loop() {
-  net::UdpSocket publish_socket;
-  net::Publish announcement;
-  announcement.service = publish_service_;
-  announcement.partition = publish_partition_;
+void ServerNode::count_send_failures(std::int64_t n) {
+  if (n == 0) return;
+  send_failures_.fetch_add(n, std::memory_order_relaxed);
+  m_send_failures_.add(n);
+}
+
+void ServerNode::publish(SimTime now) {
+  for (const net::Address& directory : directories_) {
+    announce_socket_.send_to(publish_payload_, directory);
+  }
+  next_publish_ = now + publish_interval_;
+}
+
+void ServerNode::broadcast(SimTime now) {
+  net::LoadAnnounce announcement;
   announcement.server = options_.id;
-  announcement.service_port = service_address().port;
-  announcement.load_port = load_address().port;
-  announcement.ttl_ms = static_cast<std::uint32_t>(to_ms(publish_ttl_));
-  const auto payload = announcement.encode();
-  while (running_.load(std::memory_order_relaxed)) {
-    for (const net::Address& directory : directories_) {
-      publish_socket.send_to(payload, directory);
-    }
-    // Wake periodically so stop() is honoured promptly even with long
-    // publish intervals.
-    const SimTime until = net::monotonic_now() + publish_interval_;
-    while (running_.load(std::memory_order_relaxed) &&
-           net::monotonic_now() < until) {
-      net::sleep_for(std::min<SimDuration>(publish_interval_,
-                                           20 * kMillisecond));
-    }
-  }
-}
-
-void ServerNode::broadcast_loop() {
-  net::UdpSocket broadcast_socket;
-  Rng rng(options_.seed * 40503u + 271);
+  announcement.queue_length = qlen_.load(std::memory_order_relaxed);
+  std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
+  const std::size_t n = announcement.encode_into(buf);
+  announce_socket_.send_to({buf.data(), n}, broadcast_channel_);
   const auto mean = static_cast<double>(broadcast_interval_);
-  while (running_.load(std::memory_order_relaxed)) {
-    net::LoadAnnounce announcement;
-    announcement.server = options_.id;
-    announcement.queue_length = qlen_.load(std::memory_order_relaxed);
-    std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
-    const std::size_t n = announcement.encode_into(buf);
-    broadcast_socket.send_to({buf.data(), n}, broadcast_channel_);
-    const SimDuration interval =
-        broadcast_jitter_
-            ? static_cast<SimDuration>(rng.uniform(0.5 * mean, 1.5 * mean))
-            : broadcast_interval_;
-    // Sleep in slices so stop() is honoured promptly at long intervals.
-    const SimTime until = net::monotonic_now() + interval;
-    while (running_.load(std::memory_order_relaxed) &&
-           net::monotonic_now() < until) {
-      net::sleep_for(std::min<SimDuration>(until - net::monotonic_now(),
-                                           20 * kMillisecond));
-    }
-  }
+  next_broadcast_ = now + (broadcast_jitter_
+                               ? static_cast<SimDuration>(
+                                     broadcast_rng_.uniform(0.5 * mean,
+                                                            1.5 * mean))
+                               : broadcast_interval_);
 }
 
 std::string ServerNode::stats_json() const {
@@ -434,8 +420,7 @@ void ServerNode::answer_stats_inquiry(std::uint64_t seq,
   // n == 0 means the snapshot outgrew the wire format's 64 KiB string cap;
   // treat it like a kernel-refused send rather than crashing the node.
   if (n == 0 || !load_socket_.send_to({buf.data(), n}, to)) {
-    send_failures_.fetch_add(1, std::memory_order_relaxed);
-    m_send_failures_.inc();
+    count_send_failures(1);
   }
 }
 

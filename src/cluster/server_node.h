@@ -2,13 +2,20 @@
 //
 // Each server node owns:
 //   * a service access point — a UDP socket receiving ServiceRequest
-//     datagrams, feeding a FIFO request queue drained by a worker thread
-//     pool (default pool size 1, matching the simulator's non-preemptive
+//     datagrams, feeding a FIFO request queue served by `worker_threads`
+//     service slots (default 1, matching the simulator's non-preemptive
 //     processing unit);
 //   * a load-index server — a second UDP socket answering LoadInquiry
 //     datagrams with the node's current queue length;
 //   * an optional publisher that announces the node on the service
 //     availability channel as refreshed soft state.
+//
+// All of it runs on one thread: a single ppoll loop watches both sockets
+// and a stop waker (net/waker.h). Service is emulated as a timed
+// occupancy, so a busy slot is just an absolute deadline; the loop sleeps
+// until the earliest slot deadline, delayed busy reply, publish or
+// broadcast, and answers whatever arrived in between. No request crosses a
+// thread, and stop() wakes the loop instead of waiting out a poll slice.
 //
 // The queue length ("total number of active service accesses") increments
 // when a request datagram is accepted and decrements after its response is
@@ -18,8 +25,8 @@
 // saturated by service work answered UDP load inquiries late (§3.2: 8.1% of
 // polls over 1 ms and 5.6% over 2 ms at 90% load, yet a ~2.6 ms *mean*
 // polling time — i.e. the slow polls were rare but timeslice-scale slow,
-// tens of milliseconds on 2.2-era Linux). Our workers sleep instead of
-// spinning (single-CPU host, DESIGN.md §3), so the load-index thread would
+// tens of milliseconds on 2.2-era Linux). Our service slots do not spin
+// (single-CPU host, DESIGN.md §3), so the load-index server would
 // always answer instantly; to preserve the phenomenon the load-index server
 // injects a two-part delay whenever the node has active accesses:
 //   * with probability busy_slow_prob, a scheduler-stall delay of
@@ -45,6 +52,7 @@
 #include "fault/fault.h"
 #include "net/message.h"
 #include "net/socket.h"
+#include "net/waker.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
@@ -52,11 +60,10 @@ namespace finelb::cluster {
 
 struct ServerOptions {
   ServerId id = 0;
-  /// Worker pool size; 1 mirrors the simulator's single processing unit.
+  /// Concurrent service slots; 1 mirrors the simulator's single
+  /// processing unit. (The slots share the node's one thread: service is a
+  /// timed occupancy, not computation.)
   int worker_threads = 1;
-  /// Busy-spin instead of deadline-sleep for service execution (only
-  /// sensible when cores >= concurrent servers; see DESIGN.md §3).
-  bool spin_service = false;
 
   bool inject_busy_reply_delay = true;
   // Short tail (network stack / softirq): Pareto(alpha, x_m), capped.
@@ -100,11 +107,12 @@ class ServerNode {
   ServerNode(const ServerNode&) = delete;
   ServerNode& operator=(const ServerNode&) = delete;
 
-  /// Starts the receive loops and worker pool. Idempotent-hostile: call
+  /// Starts the node's event-loop thread. Idempotent-hostile: call
   /// exactly once.
   void start();
 
-  /// Stops all threads and closes the queue; joins before returning.
+  /// Wakes and joins the event loop. Requests still queued or in service
+  /// are abandoned unanswered, as on a crash.
   void stop();
 
   /// Begins periodic soft-state announcements to the availability channel.
@@ -158,16 +166,51 @@ class ServerNode {
     SimTime enqueued_at = 0;
   };
 
-  void service_recv_loop();
-  void load_recv_loop();
+  /// One emulated processing unit, occupied by `item` until `deadline`.
+  struct Slot {
+    bool busy = false;
+    bool traced = false;
+    WorkItem item;
+    SimTime start = 0;
+    SimTime deadline = 0;
+  };
+
+  /// A load reply held back by the busy-reply delay model until `due`.
+  /// Delays must not be served by sleeping inline: concurrent inquiries
+  /// would queue behind one another and the delays would compound far
+  /// beyond the modelled distribution.
+  struct DelayedReply {
+    std::uint64_t seq;
+    std::uint64_t trace_id;
+    std::int64_t origin_ns;
+    net::Address to;
+    SimTime due;
+  };
+
+  void run_loop();
+  /// How long the loop may sleep: until the earliest slot deadline,
+  /// delayed reply, publish or broadcast, capped at the idle slice.
+  SimDuration next_wait(SimTime now) const;
+  void drain_service_socket();
+  void drain_load_socket();
+  /// Completes due slots and starts queued requests on idle ones.
+  void run_slots();
+  void start_service(Slot& slot);
+  void finish_service(Slot& slot);
+  void send_due_replies(SimTime now);
+  void send_reply(std::uint64_t seq, std::uint64_t trace_id,
+                  std::int64_t origin_ns, const net::Address& to);
   void answer_stats_inquiry(std::uint64_t seq, const net::Address& to);
-  void publish_loop();
-  void broadcast_loop();
-  void worker_loop();
+  void count_send_failures(std::int64_t n);
+  /// Each sends one announcement and schedules the next.
+  void publish(SimTime now);
+  void broadcast(SimTime now);
 
   ServerOptions options_;
   net::UdpSocket service_socket_;
   net::UdpSocket load_socket_;
+  net::UdpSocket announce_socket_;  // publishes and load broadcasts
+  net::Waker waker_;
 
   bool started_ = false;  // single-shot lifecycle: start() once, ever
   std::atomic<bool> running_{false};
@@ -189,26 +232,39 @@ class ServerNode {
   telemetry::Histogram m_service_time_ms_;
   telemetry::Histogram m_queue_wait_ms_;
 
-  // Worker pool + request queue (defined in server_node.cc to keep the
-  // header light).
-  class Queue;
-  std::unique_ptr<Queue> queue_;
-  std::vector<std::thread> threads_;
+  // Event-loop state, touched only by the loop thread. The FIFO is a
+  // vector read from fifo_head_ whose consumed prefix is dropped in place
+  // (start_service), so its capacity is reused and steady-state service
+  // never allocates.
+  std::vector<WorkItem> fifo_;
+  std::size_t fifo_head_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<DelayedReply> delayed_;
+  net::DatagramBatch request_batch_{32, 256};
+  // Inquiry bursts arrive d-at-a-time (every polling client fans out d
+  // inquiries per access): drain and answer them batched, one syscall per
+  // burst in each direction.
+  net::DatagramBatch inquiry_batch_{32, 64};
+  net::DatagramBatch reply_batch_{32, 64};
+  Rng reply_rng_;
+  Rng broadcast_rng_;
+  SimTime next_publish_ = 0;    // first publish: start()
+  SimTime next_broadcast_ = 0;  // first broadcast: the loop's first pass
 
   // Publishing (optional). One target for the classic single directory,
   // several when the directory is replicated.
   bool publish_enabled_ = false;
   std::vector<net::Address> directories_;
-  std::string publish_service_;
-  std::uint32_t publish_partition_ = 0;
+  std::vector<std::uint8_t> publish_payload_;  // encoded once
   SimDuration publish_interval_ = 0;
-  SimDuration publish_ttl_ = 0;
 
   // Load broadcasting (optional, extension).
   bool broadcast_enabled_ = false;
   net::Address broadcast_channel_{};
   SimDuration broadcast_interval_ = 0;
   bool broadcast_jitter_ = true;
+
+  std::thread thread_;  // last: the loop uses every member above
 };
 
 }  // namespace finelb::cluster

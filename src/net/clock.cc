@@ -35,10 +35,4 @@ void sleep_for(SimDuration d) {
   sleep_until(monotonic_now() + d);
 }
 
-void spin_until(SimTime deadline) {
-  while (monotonic_now() < deadline) {
-    // Intentional busy wait.
-  }
-}
-
 }  // namespace finelb::net

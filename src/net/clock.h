@@ -3,9 +3,7 @@
 // All prototype timing uses CLOCK_MONOTONIC nanoseconds represented as
 // SimTime, so response times measured in the prototype and in the simulator
 // share units and statistics code. `sleep_until` does an absolute-deadline
-// clock_nanosleep — the substitution for the paper's CPU-spinning service
-// microbenchmark (DESIGN.md §3): a worker occupies its server for exactly
-// the intended service time without consuming the machine's single CPU.
+// clock_nanosleep.
 #pragma once
 
 #include "common/time.h"
@@ -22,9 +20,5 @@ void sleep_until(SimTime deadline);
 
 /// Convenience: sleep_until(monotonic_now() + d) for d > 0.
 void sleep_for(SimDuration d);
-
-/// Burns CPU until the deadline (the paper's actual emulation mode).
-/// Only sensible on multi-core hosts; exposed for completeness and tests.
-void spin_until(SimTime deadline);
 
 }  // namespace finelb::net

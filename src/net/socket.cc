@@ -17,8 +17,9 @@
 namespace finelb::net {
 
 /// Delayed datagrams held back by the fault injector. Guarded by a mutex
-/// because server sockets are shared between a receive loop and worker
-/// threads; the state exists only while an injector is attached.
+/// because a socket may be shared between a receive loop and worker
+/// threads (Neptune's ServiceNode); the state exists only while an
+/// injector is attached.
 struct UdpSocket::FaultState {
   struct DelayedEgress {
     std::vector<std::uint8_t> payload;

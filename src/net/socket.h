@@ -1,11 +1,15 @@
 // RAII socket wrappers for the prototype runtime.
 //
-// The prototype mirrors the paper's implementation choices: load inquiries
-// travel over *connected* UDP sockets and are collected asynchronously with
-// poll(2) (the modern equivalent of the select(3) call the paper used);
-// service requests/responses use unconnected UDP datagrams on a single
-// per-node socket. Everything binds to 127.0.0.1 — the single-host stand-in
-// for the paper's switched-Ethernet cluster (DESIGN.md §3).
+// Load inquiries and service requests/responses are UDP datagrams,
+// collected asynchronously with ppoll(2) (the modern equivalent of the
+// select(3) call the paper used). The paper's polling agent held one
+// connected socket per server; here a client sends every inquiry from one
+// unconnected socket (one sendmmsg per poll round via DatagramBatch) and
+// matches each reply to its server by source address. Servers answer from
+// one unconnected socket per role. Connected sockets remain for single-peer
+// channels (directory, load-index manager, broadcast relay). Everything
+// binds to 127.0.0.1 — the single-host stand-in for the paper's
+// switched-Ethernet cluster (DESIGN.md §3).
 #pragma once
 
 #include <netinet/in.h>
@@ -124,8 +128,7 @@ class UdpSocket {
   Address local_address() const;
 
   /// Connects the socket to a fixed peer; send()/recv() then apply to that
-  /// peer only. This is how the paper's polling agent holds one socket per
-  /// server.
+  /// peer only, and the kernel drops datagrams from anyone else.
   void connect(const Address& peer);
 
   /// Sends to the connected peer. Returns false if the kernel buffer is

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -11,6 +15,7 @@
 #include "cluster/ideal_manager.h"
 #include "cluster/server_node.h"
 #include "net/clock.h"
+#include "net/poller.h"
 #include "workload/catalog.h"
 
 namespace finelb::cluster {
@@ -83,6 +88,50 @@ TEST(ClientNodeTest, PollingPolicySendsInquiries) {
   EXPECT_GT(stats.poll_time_ms.count(), 0);
   // Loopback polls on idle servers finish way under the 50 ms backstop.
   EXPECT_LT(stats.poll_time_ms.mean(), 25.0);
+}
+
+TEST(ClientNodeTest, LoadReplyFromForeignSocketIsNeitherUsedNorCounted) {
+  // The endpoint's load address is a stand-in that answers every inquiry
+  // twice: first from a foreign socket, then from the address the client
+  // polled. Only the second reply may count: accepting the first would
+  // decide the round on it and turn the genuine reply into a discard.
+  TestCluster cluster(1);
+  net::UdpSocket load_endpoint;
+  net::UdpSocket foreign;
+  std::atomic<bool> done{false};
+  std::thread answerer([&] {
+    net::Poller poller;
+    poller.add(load_endpoint.fd(), 0);
+    std::array<std::uint8_t, 128> buf{};
+    while (!done.load()) {
+      poller.wait(10 * kMillisecond);
+      while (auto dgram = load_endpoint.recv_from(buf)) {
+        net::LoadInquiry inquiry;
+        if (!net::LoadInquiry::try_decode(std::span(buf.data(), dgram->size),
+                                          inquiry)) {
+          continue;
+        }
+        net::LoadReply reply;
+        reply.seq = inquiry.seq;
+        foreign.send_to(reply.encode(), dgram->from);
+        load_endpoint.send_to(reply.encode(), dgram->from);
+      }
+    }
+  });
+  ClientOptions opts = base_options(cluster, PolicyConfig::polling(1), 100);
+  opts.servers[0].load_addr = load_endpoint.local_address();
+  opts.max_poll_wait = 5 * kSecond;  // no round may time out
+  ClientNode client(opts, fast_source());
+  client.run();
+  done.store(true);
+  answerer.join();
+  const ClientStats& stats = client.stats();
+  EXPECT_EQ(stats.completed, 100);
+  EXPECT_EQ(stats.polls_sent, 100);
+  EXPECT_EQ(stats.poll_replies_used, 100);
+  EXPECT_EQ(stats.polls_discarded, 0);
+  EXPECT_EQ(stats.polls_timed_out, 0);
+  EXPECT_EQ(stats.fallback_dispatches, 0);
 }
 
 TEST(ClientNodeTest, TelemetryMirrorsClientStats) {

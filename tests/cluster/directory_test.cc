@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "cluster/stop_latency.h"
 #include "common/check.h"
 #include "net/clock.h"
 
@@ -272,6 +274,13 @@ TEST(DirectoryTest, WaitForServersReturnsPartialAfterDeadline) {
       client.wait_for_servers("search", 5, 300 * kMillisecond);
   EXPECT_EQ(endpoints.size(), 1u);
   directory.stop();
+}
+
+TEST(DirectoryTest, StopWakesAnIdleLoopAtOnce) {
+  // stop() wakes the receive loop instead of waiting out its poll slice.
+  const SimDuration fastest =
+      fastest_idle_stop([] { return std::make_unique<DirectoryServer>(); });
+  EXPECT_LT(fastest, 20 * kMillisecond);
 }
 
 // Hostile input on the directory socket: an empty datagram, an unknown

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <filesystem>
+#include <iterator>
+#include <memory>
 #include <string>
+#include <thread>
 
+#include "cluster/stop_latency.h"
 #include "codec_test_util.h"
 #include "common/check.h"
 #include "net/clock.h"
@@ -194,8 +199,8 @@ TEST(ServerNodeTest, AnswersStatsInquiriesWithJsonSnapshot) {
   request.request_id = 42;
   request.service_us = 1000;
   roundtrip(service_client, server.service_address(), request);
-  // The served counter ticks just after the response is sent; wait for it
-  // so the scrape below observes the completed request.
+  // Wait for the served counter so the scrape below observes the
+  // completed request.
   const SimTime drain_deadline = net::monotonic_now() + kSecond;
   while (server.counters().requests_served < 1 &&
          net::monotonic_now() < drain_deadline) {
@@ -245,6 +250,45 @@ TEST(ServerNodeTest, StopIsIdempotentAndRestartForbidden) {
   server.stop();
   server.stop();  // no-op
   EXPECT_THROW(server.start(), InvariantError);
+}
+
+// Threads in this process, from /proc/self/task, read until the count
+// holds for 5 ms: a joined thread can linger there briefly.
+std::ptrdiff_t settled_thread_count() {
+  std::ptrdiff_t last = -1;
+  for (;;) {
+    const std::ptrdiff_t now = std::distance(
+        std::filesystem::directory_iterator("/proc/self/task"),
+        std::filesystem::directory_iterator());
+    if (now == last) return now;
+    last = now;
+    net::sleep_for(5 * kMillisecond);
+  }
+}
+
+TEST(ServerNodeTest, RunsOneThreadWithSeveralSlotsAndAnnouncements) {
+  ServerOptions opts = quiet_options(9);
+  opts.worker_threads = 3;
+  ServerNode server(opts);
+  net::UdpSocket sink;  // stands in for the directory and the channel
+  server.enable_publishing(sink.local_address(), "svc", 0, from_ms(100),
+                           from_ms(300));
+  server.enable_load_broadcast(sink.local_address(), from_ms(100));
+  // A sanitizer runtime may start a helper thread with the process's first
+  // thread; let that happen before counting.
+  std::thread([] {}).join();
+  const std::ptrdiff_t before = settled_thread_count();
+  server.start();
+  EXPECT_EQ(settled_thread_count(), before + 1);
+  server.stop();
+  EXPECT_EQ(settled_thread_count(), before);
+}
+
+TEST(ServerNodeTest, StopWakesAnIdleLoopAtOnce) {
+  // stop() wakes the event loop instead of waiting out its idle slice.
+  const SimDuration fastest = fastest_idle_stop(
+      [] { return std::make_unique<ServerNode>(quiet_options()); });
+  EXPECT_LT(fastest, 20 * kMillisecond);
 }
 
 TEST(ServerNodeTest, WorkerPoolAllowsConcurrentService) {
