@@ -27,7 +27,9 @@
 #                       paths, the wire codecs (golden bytes and the
 #                       seeded mutational fuzz test over every message
 #                       type, where any out-of-bounds read is fatal
-#                       under ASan), and the replicated
+#                       under ASan), the dispatch state machine
+#                       (core::Dispatcher indexes its per-endpoint tables
+#                       by driver-supplied ids), and the replicated
 #                       directory (election state machine, replica threads,
 #                       client failover/redirect).
 #

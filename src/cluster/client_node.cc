@@ -26,6 +26,19 @@ bool send_fixed(const Msg& msg, Send&& send) {
   const std::size_t n = msg.encode_into(buf);
   return send(std::span<const std::uint8_t>(buf.data(), n));
 }
+
+core::DispatcherConfig dispatcher_config(const ClientOptions& options) {
+  core::DispatcherConfig config;
+  config.policy = options.policy;
+  config.endpoints = options.servers.size();
+  config.max_poll_wait = options.max_poll_wait;
+  config.blacklist_cooldown = options.blacklist_cooldown;
+  config.blacklist_after = options.blacklist_after;
+  config.max_retries = options.max_access_retries;
+  // The trace key (ClientNode::request_key): client id << 40 | access index.
+  config.decision_key_base = static_cast<std::uint64_t>(options.id) << 40;
+  return config;
+}
 }  // namespace
 
 void ClientStats::merge(const ClientStats& other) {
@@ -68,7 +81,8 @@ ClientNode::ClientNode(ClientOptions options,
                        std::unique_ptr<RequestSource> source)
     : options_(std::move(options)),
       source_(std::move(source)),
-      rng_(options_.seed),
+      dispatcher_(dispatcher_config(options_), Rng(options_.seed)),
+      refresh_rng_(options_.seed + 1),
       trace_(options_.trace_capacity == 0 ? 1 : options_.trace_capacity,
              options_.trace_sample_period),
       decision_ring_(
@@ -107,13 +121,6 @@ ClientNode::ClientNode(ClientOptions options,
     return m_in_flight_.load(std::memory_order_relaxed);
   });
 
-  server_ids_.reserve(options_.servers.size());
-  for (const auto& server : options_.servers) {
-    server_ids_.push_back(server.id);
-  }
-  endpoint_live_.assign(options_.servers.size(), 1);
-  consecutive_timeouts_.assign(options_.servers.size(), 0);
-
   service_socket_.set_buffer_sizes(1 << 21);
   service_socket_.attach_fault_injector(options_.fault);
   poller_.add(service_socket_.fd(), kServiceTag);
@@ -145,11 +152,6 @@ ClientNode::ClientNode(ClientOptions options,
     broadcast_socket_->set_buffer_sizes(1 << 21);
     broadcast_socket_->connect(*options_.broadcast_channel);
     poller_.add(broadcast_socket_->fd(), kBroadcastTag);
-    broadcast_table_ = std::make_unique<LoadCache>(options_.servers.size());
-    for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-      // ServerLoad.server holds the endpoint *index* (as in poll replies).
-      broadcast_table_->store(i, {static_cast<ServerId>(i), 0, 0});
-    }
     net::Subscribe subscribe;
     subscribe.ttl_ms = kSubscribeTtlMs;
     if (!send_fixed(subscribe, [&](auto p) { return broadcast_socket_->send(p); })) {
@@ -191,11 +193,10 @@ void ClientNode::run() {
 
     // Fire due arrivals (possibly several if the loop fell behind).
     while (stats_.issued < options_.total_requests && next_arrival <= now) {
-      Access access;
+      core::Access access;
       access.index = stats_.issued++;
       access.started_at = now;
-      access.service_us = static_cast<std::uint32_t>(
-          pending.service_time / kMicrosecond);
+      access.service_time = pending.service_time;
       begin_access(access);
       pending = source_->next();
       next_arrival += pending.arrival_interval;
@@ -203,15 +204,15 @@ void ClientNode::run() {
     }
 
     fire_deadlines(now);
+    sync_blacklist_counters();
 
     // Wait for the earliest of: next arrival, any round/response deadline.
-    const auto deadline = next_deadline(
-        stats_.issued < options_.total_requests ? next_arrival : -1);
-    SimDuration wait = 100 * kMillisecond;
-    if (deadline) {
-      wait = std::clamp<SimDuration>(*deadline - net::monotonic_now(), 0,
-                                     wait);
-    }
+    const SimTime deadline =
+        next_deadline(stats_.issued < options_.total_requests
+                          ? next_arrival
+                          : core::kNoDeadline);
+    const SimDuration wait = std::clamp<SimDuration>(
+        deadline - net::monotonic_now(), 0, 100 * kMillisecond);
     for (const net::Ready& ready : poller_.wait(wait)) {
       if (!ready.readable && !ready.error) continue;
       if (ready.tag == kServiceTag) {
@@ -225,6 +226,7 @@ void ClientNode::run() {
       }
     }
   }
+  sync_blacklist_counters();
 }
 
 void ClientNode::refresh_mapping(SimTime now) {
@@ -241,60 +243,34 @@ void ClientNode::refresh_mapping(SimTime now) {
     mapping_refresh_interval_ = std::min<SimDuration>(
         mapping_refresh_interval_ * 2, options_.mapping_refresh * 8);
   } else {
-    const std::vector<ServiceEndpoint>& snapshot = *fetched;
     mapping_refresh_interval_ = options_.mapping_refresh;
-    std::fill(endpoint_live_.begin(), endpoint_live_.end(), 0);
-    for (const auto& entry : snapshot) {
-      for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-        if (options_.servers[i].id == entry.server) {
-          endpoint_live_[i] = 1;
-          break;
-        }
+    live_scratch_.clear();
+    for (const ServiceEndpoint& entry : *fetched) {
+      const std::size_t i = index_of(entry.server);
+      if (i < options_.servers.size()) {
+        live_scratch_.push_back(static_cast<ServerId>(i));
       }
     }
-    // An empty snapshot means the directory lost *all* soft state (e.g. it
-    // restarted); treat everyone as live rather than dispatching nowhere.
-    bool any = false;
-    for (const std::uint8_t live : endpoint_live_) any |= live != 0;
-    if (!any) std::fill(endpoint_live_.begin(), endpoint_live_.end(), 1);
+    dispatcher_.set_live(live_scratch_);
   }
   stats_.snapshot_retries = directory_client_->snapshot_retries();
   stats_.directory_failovers = directory_client_->failovers();
   stats_.directory_redirects = directory_client_->redirects_followed();
-  const double jitter = rng_.uniform(0.75, 1.25);
+  const double jitter = refresh_rng_.uniform(0.75, 1.25);
   next_mapping_refresh_ =
       now + static_cast<SimDuration>(
                 static_cast<double>(mapping_refresh_interval_) * jitter);
 }
 
-std::span<const ServerId> ClientNode::candidate_indices(SimTime now) {
-  std::vector<ServerId>& live = candidate_scratch_;
-  live.clear();
-  for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-    if (endpoint_live_[i]) live.push_back(static_cast<ServerId>(i));
-  }
-  if (live.empty()) {
-    for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-      live.push_back(static_cast<ServerId>(i));
-    }
-  }
-  if (options_.blacklist_cooldown > 0) {
-    const std::int64_t hits_before = blacklist_.hits();
-    blacklist_.filter_in_place(live, now);
-    const std::int64_t hits = blacklist_.hits() - hits_before;
-    stats_.blacklist_hits += hits;
-    if (hits > 0) m_blacklist_hits_.add(hits);
-  }
-  return live;
-}
-
-void ClientNode::mark_failed(std::size_t server_index, SimTime now) {
-  if (options_.blacklist_cooldown <= 0) return;
-  if (++consecutive_timeouts_[server_index] >= options_.blacklist_after) {
-    blacklist_.add(server_index, now + options_.blacklist_cooldown);
-    ++stats_.blacklist_insertions;
-    m_blacklist_insertions_.inc();
-  }
+void ClientNode::sync_blacklist_counters() {
+  const auto sync = [](std::int64_t total, std::int64_t& seen,
+                       telemetry::Counter& counter) {
+    if (total > seen) counter.add(total - seen);
+    seen = total;
+  };
+  sync(dispatcher_.blacklist_hits(), stats_.blacklist_hits, m_blacklist_hits_);
+  sync(dispatcher_.blacklist_insertions(), stats_.blacklist_insertions,
+       m_blacklist_insertions_);
 }
 
 void ClientNode::record_outcome(SimTime now, bool completed,
@@ -311,95 +287,39 @@ void ClientNode::record_outcome(SimTime now, bool completed,
   }
 }
 
-void ClientNode::begin_access(const Access& access) {
+void ClientNode::begin_access(const core::Access& access) {
   m_issued_.inc();
   m_in_flight_.fetch_add(1, std::memory_order_relaxed);
   if (trace_.sampled(static_cast<std::uint64_t>(access.index))) {
     trace_.record(request_key(access.index),
                   telemetry::TracePoint::kClientEnqueue, /*node=*/-1,
-                  access.started_at, access.service_us);
+                  access.started_at, access.service_time / kMicrosecond);
   }
-  switch (options_.policy.kind) {
-    case PolicyKind::kRandom: {
-      const auto candidates = candidate_indices(access.started_at);
-      dispatch(access, static_cast<std::size_t>(
-                           pick_random(candidates, rng_)));
+  // The decision lands in the audit ring keyed by the same request id as
+  // the trace records, so the post-run join can look up what happened to it.
+  DecisionSink* sink =
+      decision_ring_.sampled(static_cast<std::uint64_t>(access.index))
+          ? decision_ring_.sink()
+          : nullptr;
+  const core::Action action =
+      dispatcher_.arrive(access, access.started_at, sink);
+  switch (action.kind) {
+    case core::Action::Kind::kDispatch:
+      dispatch(access, static_cast<std::size_t>(action.decision.target));
       break;
-    }
-    case PolicyKind::kRoundRobin: {
-      const ServerId id = rr_.next(server_ids_);
-      for (std::size_t i = 0; i < server_ids_.size(); ++i) {
-        if (server_ids_[i] == id) {
-          dispatch(access, i);
-          break;
-        }
-      }
+    case core::Action::Kind::kPoll:
+      send_polls(action);
       break;
-    }
-    case PolicyKind::kPolling:
-      start_poll_round(access);
+    case core::Action::Kind::kAskOracle:
+      ask_manager(access);
       break;
-    case PolicyKind::kIdeal: {
-      const std::uint64_t seq = next_seq_++;
-      net::Acquire acquire;
-      acquire.seq = seq;
-      if (!send_fixed(acquire,
-                      [&](auto p) { return manager_socket_->send(p); })) {
-        ++stats_.send_failures;
-        ++stats_.manager_timeouts;
-        dispatch(access, rng_.uniform_int(options_.servers.size()));
-        return;
-      }
-      ManagerRound round;
-      round.seq = seq;
-      round.access = access;
-      round.deadline = access.started_at + options_.manager_timeout;
-      manager_rounds_.push_back(round);
-      break;
-    }
-    case PolicyKind::kBroadcast: {
-      broadcast_table_->snapshot(load_scratch_);
-      const ServerId index = pick_least_loaded(load_scratch_, rng_);
-      if (options_.policy.optimistic_increment) {
-        ServerLoad entry =
-            broadcast_table_->load(static_cast<std::size_t>(index));
-        ++entry.queue_length;
-        broadcast_table_->store(static_cast<std::size_t>(index), entry);
-      }
-      dispatch(access, static_cast<std::size_t>(index));
-      break;
-    }
   }
 }
 
-void ClientNode::start_poll_round(const Access& access) {
-  const std::uint64_t seq = next_seq_++;
-  // Recycle a retired round so its targets/replies capacity carries over;
-  // after warm-up every round runs without touching the allocator.
-  PollRound round;
-  if (!poll_round_pool_.empty()) {
-    round = std::move(poll_round_pool_.back());
-    poll_round_pool_.pop_back();
-    round.targets.clear();
-    round.replies.clear();
-  }
-  round.seq = seq;
-  round.access = access;
-  round.sent_at = access.started_at;
-  const SimDuration wait = options_.policy.discard_timeout > 0
-                               ? options_.policy.discard_timeout
-                               : options_.max_poll_wait;
-  round.deadline = access.started_at + wait;
-
-  // Choose poll targets as indices into the endpoint table, restricted to
-  // endpoints currently believed live (mapping + blacklist).
-  const auto index_pool = candidate_indices(access.started_at);
-  choose_poll_set_into(index_pool,
-                       static_cast<std::size_t>(options_.policy.poll_size),
-                       rng_, round.targets);
-
+void ClientNode::send_polls(const core::Action& action) {
+  const core::Access& access = action.decision.access;
   net::LoadInquiry inquiry;
-  inquiry.seq = seq;
+  inquiry.seq = action.round;
   const bool traced = trace_.sampled(static_cast<std::uint64_t>(access.index));
   if (traced) {
     // Propagate the trace context: the server answers a traced inquiry with
@@ -411,7 +331,7 @@ void ClientNode::start_poll_round(const Access& access) {
   const std::size_t n = inquiry.encode_into(buf);
   const std::span<const std::uint8_t> payload(buf.data(), n);
   poll_send_batch_.clear();
-  for (const ServerId target : round.targets) {
+  for (const ServerId target : action.targets) {
     poll_send_batch_.append(
         payload, options_.servers[static_cast<std::size_t>(target)].load_addr);
   }
@@ -427,82 +347,72 @@ void ClientNode::start_poll_round(const Access& access) {
     trace_.record(request_key(access.index),
                   telemetry::TracePoint::kPollSent, /*node=*/-1,
                   access.started_at,
-                  static_cast<std::int64_t>(round.targets.size()));
+                  static_cast<std::int64_t>(action.targets.size()));
   }
-  poll_rounds_.push_back(std::move(round));
 }
 
-void ClientNode::finish_poll_round(std::size_t index) {
-  PollRound& round = poll_rounds_[index];
-  const SimTime now = net::monotonic_now();
-  if (should_record(round.access)) {
-    const double ms = to_ms(now - round.access.started_at);
-    stats_.poll_time_ms.add(ms);
-    m_poll_time_ms_.record(ms);
+void ClientNode::ask_manager(const core::Access& access) {
+  net::Acquire acquire;
+  acquire.seq = next_manager_seq_++;
+  if (!send_fixed(acquire,
+                  [&](auto p) { return manager_socket_->send(p); })) {
+    ++stats_.send_failures;
+    ++stats_.manager_timeouts;
+    dispatch_decided(access,
+                     static_cast<std::size_t>(
+                         dispatcher_.fallback(access.started_at)),
+                     /*manager_acquired=*/false, access.started_at);
+    return;
   }
-  std::size_t target = 0;
-  // Audit context for the core/selection.h choke point: the decision lands
-  // in the ring keyed by the same request id as the trace records, so the
-  // post-run join can look up what actually happened to it. RNG consumption
-  // is identical to the unrecorded overloads.
-  DecisionContext ctx;
-  ctx.request_id = request_key(round.access.index);
-  ctx.now_ns = now;
-  ctx.sink =
-      decision_ring_.sampled(static_cast<std::uint64_t>(round.access.index))
-          ? decision_ring_.sink()
-          : nullptr;
-  if (round.replies.empty()) {
-    // Every inquiry (or every reply) was lost: dispatch blind. Prefer the
-    // current candidate set over the polled targets — if the targets were
-    // since blacklisted or dropped from the mapping, re-picking among them
-    // would just hit the same dead servers again.
+  manager_rounds_.push_back(
+      {acquire.seq, access, access.started_at + options_.manager_timeout});
+}
+
+void ClientNode::finish_poll_round(const core::Decision& decision,
+                                   SimTime now) {
+  if (decision.blind) {
     ++stats_.fallback_dispatches;
     m_fallback_dispatches_.inc();
-    const std::int64_t hits_before = blacklist_.hits();
-    const auto candidates = candidate_indices(now);
-    ctx.blacklist_filtered = static_cast<std::uint8_t>(
-        std::clamp<std::int64_t>(blacklist_.hits() - hits_before, 0, 255));
-    target = static_cast<std::size_t>(
-        pick_random_fallback(candidates, rng_, ctx));
   } else {
-    // ServerLoad.server holds endpoint *indices* here (see
-    // drain_poll_socket), so the selection result is directly usable.
-    target = static_cast<std::size_t>(
-        pick_least_loaded(round.replies, rng_, ctx));
-    stats_.poll_replies_used +=
-        static_cast<std::int64_t>(round.replies.size());
+    stats_.poll_replies_used += static_cast<std::int64_t>(decision.replies);
   }
-  const Access access = round.access;
+  const core::Access& access = decision.access;
   if (trace_.sampled(static_cast<std::uint64_t>(access.index))) {
     trace_.record(request_key(access.index),
                   telemetry::TracePoint::kServerPick,
-                  static_cast<std::int32_t>(target), now,
-                  static_cast<std::int64_t>(round.replies.size()));
+                  static_cast<std::int32_t>(decision.target), now,
+                  static_cast<std::int64_t>(decision.replies));
   }
-  // Swap-remove and retire to the pool (keeps the inner vectors' capacity)
-  // before dispatch(), which may itself touch the round containers.
-  poll_round_pool_.push_back(std::move(poll_rounds_[index]));
-  poll_rounds_[index] = std::move(poll_rounds_.back());
-  poll_rounds_.pop_back();
-  dispatch(access, target);
+  dispatch_decided(access, static_cast<std::size_t>(decision.target),
+                   /*manager_acquired=*/false, now);
 }
 
-void ClientNode::dispatch(const Access& access, std::size_t server_index,
+void ClientNode::dispatch_decided(const core::Access& access,
+                                  std::size_t server_index,
+                                  bool manager_acquired, SimTime now) {
+  if (should_record(access)) {
+    const double ms = to_ms(now - access.started_at);
+    stats_.poll_time_ms.add(ms);
+    m_poll_time_ms_.record(ms);
+  }
+  dispatch(access, server_index, manager_acquired);
+}
+
+void ClientNode::dispatch(const core::Access& access, std::size_t server_index,
                           bool manager_acquired) {
-  const std::uint64_t request_id = request_key(access.index);
   net::ServiceRequest request;
-  request.request_id = request_id;
-  request.service_us = access.service_us;
+  request.request_id = request_key(access.index);
+  request.service_us =
+      static_cast<std::uint32_t>(access.service_time / kMicrosecond);
   request.partition = 0;
   const auto dest = options_.servers[server_index].service_addr;
   if (trace_.sampled(static_cast<std::uint64_t>(access.index))) {
     const SimTime now = net::monotonic_now();
     // Propagated context: the server traces kServiceStart/kResponse under
     // the same id regardless of its own sampling period.
-    request.trace_id = request_id;
+    request.trace_id = request_key(access.index);
     request.origin_ns = now;
-    trace_.record(request_id, telemetry::TracePoint::kDispatch,
+    trace_.record(request_key(access.index), telemetry::TracePoint::kDispatch,
                   static_cast<std::int32_t>(server_index), now,
                   access.attempt);
   }
@@ -518,13 +428,9 @@ void ClientNode::dispatch(const Access& access, std::size_t server_index,
     if (manager_acquired) release_manager_slot(server_index);
     return;
   }
-  Outstanding out;
-  out.request_id = request_id;
-  out.access = access;
-  out.server_index = server_index;
-  out.deadline = net::monotonic_now() + options_.response_timeout;
-  out.manager_acquired = manager_acquired;
-  outstanding_.push_back(out);
+  outstanding_.push_back({request_key(access.index), access, server_index,
+                          net::monotonic_now() + options_.response_timeout,
+                          manager_acquired});
 }
 
 void ClientNode::drain_service_socket() {
@@ -571,7 +477,7 @@ void ClientNode::drain_service_socket() {
                       response.queue_at_arrival);
       }
       record_outcome(now, /*completed=*/true, rt_ms);
-      consecutive_timeouts_[out.server_index] = 0;
+      dispatcher_.response(static_cast<ServerId>(out.server_index));
       ++stats_.completed;
       m_completed_.inc();
       ++resolved_;
@@ -598,26 +504,17 @@ void ClientNode::drain_manager_socket() {
       }
     }
     if (idx == manager_rounds_.size()) continue;  // fallback already taken
-    const Access access = manager_rounds_[idx].access;
+    const core::Access access = manager_rounds_[idx].access;
     manager_rounds_[idx] = manager_rounds_.back();
     manager_rounds_.pop_back();
-    // Map the manager's server id back to an endpoint index.
-    std::size_t index = options_.servers.size();
-    for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-      if (options_.servers[i].id == reply.server) {
-        index = i;
-        break;
-      }
-    }
+    const SimTime now = net::monotonic_now();
+    std::size_t index = index_of(reply.server);
     if (index == options_.servers.size()) {
       FINELB_LOG(kWarn, "client") << "manager chose unknown server "
                                   << reply.server;
-      index = rng_.uniform_int(options_.servers.size());
+      index = static_cast<std::size_t>(dispatcher_.fallback(now));
     }
-    if (should_record(access)) {
-      stats_.poll_time_ms.add(to_ms(net::monotonic_now() - access.started_at));
-    }
-    dispatch(access, index, /*manager_acquired=*/true);
+    dispatch_decided(access, index, /*manager_acquired=*/true, now);
   }
 }
 
@@ -629,16 +526,18 @@ void ClientNode::drain_broadcast_socket() {
                                        announcement)) {
       continue;
     }
-    for (std::size_t i = 0; i < options_.servers.size(); ++i) {
-      if (options_.servers[i].id == announcement.server) {
-        broadcast_table_->store(i, {static_cast<ServerId>(i),
-                                    announcement.queue_length,
-                                    net::monotonic_now()});
-        ++stats_.broadcasts_received;
-        break;
-      }
-    }
+    const std::size_t i = index_of(announcement.server);
+    if (i == options_.servers.size()) continue;
+    dispatcher_.announce({static_cast<ServerId>(i), announcement.queue_length,
+                          net::monotonic_now()});
+    ++stats_.broadcasts_received;
   }
+}
+
+std::size_t ClientNode::index_of(ServerId id) const {
+  std::size_t i = 0;
+  while (i < options_.servers.size() && options_.servers[i].id != id) ++i;
+  return i;
 }
 
 std::size_t ClientNode::endpoint_of(const net::Address& from) const {
@@ -658,14 +557,13 @@ void ClientNode::drain_poll_socket() {
       if (!net::LoadReply::try_decode(recv_batch_.payload(d), reply)) {
         continue;
       }
-      std::size_t idx = poll_rounds_.size();
-      for (std::size_t i = 0; i < poll_rounds_.size(); ++i) {
-        if (poll_rounds_[i].seq == reply.seq) {
-          idx = i;
-          break;
-        }
-      }
-      if (idx == poll_rounds_.size()) {
+      const SimTime now = net::monotonic_now();
+      core::Decision decision;
+      const core::ReplyOutcome outcome = dispatcher_.poll_reply(
+          reply.seq,
+          {static_cast<ServerId>(server_index), reply.queue_length, now}, now,
+          decision);
+      if (outcome == core::ReplyOutcome::kDiscarded) {
         ++stats_.polls_discarded;  // reply arrived after the round was decided
         m_polls_discarded_.inc();
         // The owning round is gone, but the reply echoes its trace id, so a
@@ -675,58 +573,51 @@ void ClientNode::drain_poll_socket() {
                                 : trace_.sampled(reply.seq)) {
           trace_.record(reply.trace_id != 0 ? reply.trace_id : reply.seq,
                         telemetry::TracePoint::kPollDiscard,
-                        static_cast<std::int32_t>(server_index),
-                        net::monotonic_now(), reply.queue_length);
+                        static_cast<std::int32_t>(server_index), now,
+                        reply.queue_length);
         }
         continue;
       }
-      PollRound& round = poll_rounds_[idx];
-      if (should_record(round.access)) {
-        const double rtt_ms = to_ms(net::monotonic_now() - round.sent_at);
+      const core::Access& access = decision.access;
+      if (should_record(access)) {
+        const double rtt_ms = to_ms(now - access.started_at);
         stats_.poll_rtt_ms.add(rtt_ms);
         m_poll_rtt_ms_.record(rtt_ms);
       }
-      if (trace_.sampled(static_cast<std::uint64_t>(round.access.index))) {
-        trace_.record(request_key(round.access.index),
+      if (trace_.sampled(static_cast<std::uint64_t>(access.index))) {
+        trace_.record(request_key(access.index),
                       telemetry::TracePoint::kPollReply,
-                      static_cast<std::int32_t>(server_index),
-                      net::monotonic_now(), reply.queue_length);
+                      static_cast<std::int32_t>(server_index), now,
+                      reply.queue_length);
       }
-      // Store the endpoint *index* in the server field so the least-loaded
-      // pick can be used directly (ids and indices coincide in experiments,
-      // but examples may use sparse ids).
-      round.replies.push_back({static_cast<ServerId>(server_index),
-                               reply.queue_length, net::monotonic_now()});
-      if (round.replies.size() == round.targets.size()) {
-        finish_poll_round(idx);
+      if (outcome == core::ReplyOutcome::kDecided) {
+        finish_poll_round(decision, now);
       }
     }
   }
 }
 
 void ClientNode::fire_deadlines(SimTime now) {
-  // All three scans swap-remove while iterating: on removal the back
-  // element lands at the current index and is re-examined, so the index
-  // only advances when the current entry survives.
-
   // Poll rounds past their deadline: decide with whatever arrived.
-  for (std::size_t i = 0; i < poll_rounds_.size();) {
-    if (poll_rounds_[i].deadline <= now) {
-      ++stats_.polls_timed_out;
-      m_polls_timed_out_.inc();
-      finish_poll_round(i);  // swap-removes index i
-    } else {
-      ++i;
-    }
+  while (const auto decision = dispatcher_.expire(now)) {
+    ++stats_.polls_timed_out;
+    m_polls_timed_out_.inc();
+    finish_poll_round(*decision, now);
   }
-  // Manager rounds past their deadline: fall back to a random server.
+  // The two scans swap-remove while iterating: on removal the back element
+  // lands at the current index and is re-examined, so the index only
+  // advances when the current entry survives.
+
+  // Manager rounds past their deadline: fall back to a random candidate.
   for (std::size_t i = 0; i < manager_rounds_.size();) {
     if (manager_rounds_[i].deadline <= now) {
-      const Access access = manager_rounds_[i].access;
+      const core::Access access = manager_rounds_[i].access;
       manager_rounds_[i] = manager_rounds_.back();
       manager_rounds_.pop_back();
       ++stats_.manager_timeouts;
-      dispatch(access, rng_.uniform_int(options_.servers.size()));
+      dispatch_decided(access,
+                       static_cast<std::size_t>(dispatcher_.fallback(now)),
+                       /*manager_acquired=*/false, now);
     } else {
       ++i;
     }
@@ -738,22 +629,22 @@ void ClientNode::fire_deadlines(SimTime now) {
     if (outstanding_[i].deadline <= now) {
       const std::size_t server_index = outstanding_[i].server_index;
       const bool manager_acquired = outstanding_[i].manager_acquired;
-      Access access = outstanding_[i].access;
+      core::Access access = outstanding_[i].access;
       outstanding_[i] = outstanding_.back();
       outstanding_.pop_back();
       if (manager_acquired) release_manager_slot(server_index);
-      mark_failed(server_index, now);
-      if (access.attempt < options_.max_access_retries) {
-        // Re-dispatch to a fresh candidate (the failing server was just
-        // blacklisted). started_at is kept, so a retried access's response
-        // time honestly includes the timeout it waited through; the request
-        // id is reused, so a late answer from the first attempt still
-        // completes the access. The retry appends to outstanding_ with a
-        // future deadline, so this scan skips it if it swaps into reach.
+      if (dispatcher_.timeout(static_cast<ServerId>(server_index),
+                              access.attempt, now)) {
+        // Re-dispatch to a fresh candidate (the failing server may just
+        // have been blacklisted). started_at is kept, so a retried access's
+        // response time honestly includes the timeout it waited through;
+        // the request id is reused, so a late answer from the first attempt
+        // still completes the access. The retry appends to outstanding_
+        // with a future deadline, so this scan skips it if it swaps into
+        // reach.
         ++access.attempt;
         ++stats_.access_retries;
-        dispatch(access, static_cast<std::size_t>(
-                             pick_random(candidate_indices(now), rng_)));
+        dispatch(access, static_cast<std::size_t>(dispatcher_.fallback(now)));
       } else {
         record_outcome(now, /*completed=*/false, 0.0);
         ++stats_.response_timeouts;
@@ -781,16 +672,15 @@ std::string ClientNode::stats_json() const {
       trace_.snapshot());
 }
 
-std::optional<SimTime> ClientNode::next_deadline(SimTime next_arrival) const {
-  std::optional<SimTime> best;
-  const auto consider = [&best](SimTime t) {
-    if (!best || t < *best) best = t;
-  };
-  if (next_arrival >= 0) consider(next_arrival);
-  for (const PollRound& round : poll_rounds_) consider(round.deadline);
-  for (const ManagerRound& round : manager_rounds_) consider(round.deadline);
-  for (const Outstanding& out : outstanding_) consider(out.deadline);
-  return best;
+SimTime ClientNode::next_deadline(SimTime next_arrival) const {
+  SimTime earliest = std::min(next_arrival, dispatcher_.next_deadline());
+  for (const ManagerRound& round : manager_rounds_) {
+    earliest = std::min(earliest, round.deadline);
+  }
+  for (const Outstanding& out : outstanding_) {
+    earliest = std::min(earliest, out.deadline);
+  }
+  return earliest;
 }
 
 }  // namespace finelb::cluster

@@ -20,29 +20,26 @@
 // throttles subsequent arrivals (queueing happens at the servers, as in the
 // paper, not in the client).
 //
-// Policy execution per access:
-//   random / round-robin — dispatch immediately;
-//   polling(d)           — send d inquiries, dispatch on the last reply or
-//                          on the discard deadline (paper §3.2), whichever
-//                          comes first; with the optimization off, a
-//                          max_poll_wait backstop guards against UDP loss;
-//   ideal                — Acquire from the manager, dispatch to its answer,
-//                          Release on completion.
+// Policy execution lives in a core::Dispatcher (core/dispatcher.h), the
+// same state machine the simulator drives: this node feeds it arrivals,
+// poll replies, round deadlines, broadcast announcements and response
+// outcomes, and carries out what it returns — dispatch now, send a round's
+// inquiries, or Acquire from the IDEAL manager (dispatch to its answer,
+// Release on completion). The node keeps the I/O: the ppoll loop, sockets,
+// tracing, metrics, outstanding accesses and the manager exchange.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/directory.h"
 #include "common/rng.h"
-#include "core/load_cache.h"
+#include "core/dispatcher.h"
 #include "core/policy.h"
-#include "core/selection.h"
 #include "fault/fault.h"
 #include "net/poller.h"
 #include "net/socket.h"
@@ -217,37 +214,21 @@ class ClientNode {
   std::string stats_json() const;
 
  private:
-  struct Access {
-    std::int64_t index = 0;
-    SimTime started_at = 0;
-    std::uint32_t service_us = 0;
-    int attempt = 0;  // retry count so far (max_access_retries bound)
-  };
-
-  // Round/outstanding records live in flat unordered vectors (swap-remove
-  // on completion) instead of std::map: the active sets are small (bounded
-  // by in-flight accesses), deadline scans are O(n) either way, and flat
-  // storage makes the steady state allocation-free — map insert/erase
-  // costs a node allocation per access. Each record carries its own key.
-
-  struct PollRound {
-    std::uint64_t seq = 0;             // inquiry sequence (lookup key)
-    Access access;
-    std::vector<ServerId> targets;     // indices into options_.servers
-    std::vector<ServerLoad> replies;
-    SimTime sent_at = 0;
-    SimTime deadline = 0;
-  };
+  // Manager rounds and outstanding accesses live in flat unordered vectors
+  // (swap-remove on completion) instead of std::map: the active sets are
+  // small (bounded by in-flight accesses), deadline scans are O(n) either
+  // way, and flat storage keeps the steady state allocation-free. Each
+  // record carries its own key.
 
   struct ManagerRound {
     std::uint64_t seq = 0;  // acquire sequence (lookup key)
-    Access access;
+    core::Access access;
     SimTime deadline = 0;
   };
 
   struct Outstanding {
     std::uint64_t request_id = 0;  // lookup key
-    Access access;
+    core::Access access;
     std::size_t server_index = 0;
     SimTime deadline = 0;
     /// True when the IDEAL manager granted this slot; only such accesses
@@ -255,12 +236,16 @@ class ClientNode {
     bool manager_acquired = false;
   };
 
-  void begin_access(const Access& access);
-  void start_poll_round(const Access& access);
-  /// Decides poll round `index` (of poll_rounds_) and retires it to the
-  /// pool so its target/reply capacity is reused by later rounds.
-  void finish_poll_round(std::size_t index);
-  void dispatch(const Access& access, std::size_t server_index,
+  void begin_access(const core::Access& access);
+  void send_polls(const core::Action& action);
+  void ask_manager(const core::Access& access);
+  void finish_poll_round(const core::Decision& decision, SimTime now);
+  /// The one path for accesses whose target took load information to pick
+  /// (a poll round or the IDEAL manager): records the acquisition time,
+  /// then dispatches.
+  void dispatch_decided(const core::Access& access, std::size_t server_index,
+                        bool manager_acquired, SimTime now);
+  void dispatch(const core::Access& access, std::size_t server_index,
                 bool manager_acquired = false);
   void release_manager_slot(std::size_t server_index);
   void drain_service_socket();
@@ -270,9 +255,13 @@ class ClientNode {
   /// Endpoint index whose load address is `from`, or servers.size() when
   /// the address belongs to no endpoint.
   std::size_t endpoint_of(const net::Address& from) const;
+  /// Endpoint index of server `id`, or servers.size() when unknown.
+  std::size_t index_of(ServerId id) const;
   void fire_deadlines(SimTime now);
-  std::optional<SimTime> next_deadline(SimTime next_arrival) const;
-  bool should_record(const Access& access) const {
+  /// Earliest of `next_arrival` and every pending deadline (kNoDeadline:
+  /// nothing pending).
+  SimTime next_deadline(SimTime next_arrival) const;
+  bool should_record(const core::Access& access) const {
     return access.index >= options_.warmup_requests;
   }
   /// Globally unique request id for an access — the trace key shared by
@@ -281,19 +270,16 @@ class ClientNode {
     return (static_cast<std::uint64_t>(options_.id) << 40) |
            static_cast<std::uint64_t>(index);
   }
-  /// Endpoint indices usable for new work: mapping-live minus blacklisted,
-  /// falling back to every endpoint when that leaves nothing. The span
-  /// views candidate_scratch_, valid until the next call.
-  std::span<const ServerId> candidate_indices(SimTime now);
   void refresh_mapping(SimTime now);
+  /// Mirrors the dispatcher's blacklist counters into stats_ and metrics_.
+  void sync_blacklist_counters();
   void record_outcome(SimTime now, bool completed, double response_ms);
-  void mark_failed(std::size_t server_index, SimTime now);
 
   ClientOptions options_;
   std::unique_ptr<RequestSource> source_;
-  Rng rng_;
-  RoundRobinCursor rr_;
-  std::vector<ServerId> server_ids_;
+  /// Endpoints are indices into options_.servers.
+  core::Dispatcher dispatcher_;
+  Rng refresh_rng_;  // mapping-refresh jitter
 
   net::UdpSocket service_socket_;
   net::UdpSocket poll_socket_;  // unconnected; inquiries to every server
@@ -303,29 +289,17 @@ class ClientNode {
   net::DatagramBatch recv_batch_{32, 256};
   std::unique_ptr<net::UdpSocket> manager_socket_;
   std::unique_ptr<net::UdpSocket> broadcast_socket_;
-  /// Broadcast policy's local load table, indexed like options_.servers.
-  /// Seqlock-backed: updates from the drain loop never contend with the
-  /// dispatch path's snapshot reads (core/load_cache.h).
-  std::unique_ptr<LoadCache> broadcast_table_;
   SimTime subscribe_refresh_at_ = 0;
   net::Poller poller_;
 
-  std::vector<PollRound> poll_rounds_;        // active, unordered
-  std::vector<PollRound> poll_round_pool_;    // retired; capacity reused
   std::vector<ManagerRound> manager_rounds_;  // active, unordered
   std::vector<Outstanding> outstanding_;      // active, unordered
-  std::uint64_t next_seq_ = 1;
+  std::uint64_t next_manager_seq_ = 1;
   std::int64_t resolved_ = 0;
 
-  // Reused scratch (see candidate_indices / the broadcast dispatch path).
-  std::vector<ServerId> candidate_scratch_;
-  std::vector<ServerLoad> load_scratch_;
-
   // Failure hardening (see ClientOptions).
-  Blacklist blacklist_;
-  std::vector<int> consecutive_timeouts_;  // per endpoint index
   std::unique_ptr<DirectoryClient> directory_client_;
-  std::vector<std::uint8_t> endpoint_live_;  // per endpoint index
+  std::vector<ServerId> live_scratch_;  // endpoints a snapshot lists
   SimTime next_mapping_refresh_ = 0;
   SimDuration mapping_refresh_interval_ = 0;  // backs off on failure
   SimTime run_started_at_ = 0;

@@ -41,10 +41,11 @@ struct PolicyConfig {
   /// Polls not answered within this bound are discarded; 0 disables the
   /// optimization. The paper's prototype uses 1 ms (§3.2).
   SimDuration discard_timeout = 0;
-  /// Extension (simulation only): Mitzenmacher's memory-augmented variant
-  /// ("How Useful Is Old Information?", cited in the paper's related work):
-  /// the client keeps the last round's winner and its observed-plus-own
-  /// load as an extra zero-cost candidate in the next round.
+  /// Extension: Mitzenmacher's memory-augmented variant ("How Useful Is
+  /// Old Information?", cited in the paper's related work): the client
+  /// keeps the last round's winner and its observed-plus-own load as an
+  /// extra zero-cost candidate in the next round. Runs wherever polling
+  /// does — core::Dispatcher applies it in the simulator and the prototype.
   bool poll_memory = false;
 
   // --- broadcast parameters -----------------------------------------------

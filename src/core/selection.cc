@@ -95,46 +95,4 @@ ServerId RoundRobinCursor::next(std::span<const ServerId> candidates) {
   return candidates[cursor_++ % candidates.size()];
 }
 
-void Blacklist::add(std::size_t index, SimTime until) {
-  if (index >= until_.size()) until_.resize(index + 1, 0);
-  until_[index] = std::max(until_[index], until);
-  ++insertions_;
-}
-
-bool Blacklist::contains(std::size_t index, SimTime now) const {
-  return index < until_.size() && until_[index] > now;
-}
-
-std::vector<ServerId> Blacklist::filter(std::span<const ServerId> candidates,
-                                        SimTime now) {
-  std::vector<ServerId> live;
-  live.reserve(candidates.size());
-  for (const ServerId id : candidates) {
-    if (!contains(static_cast<std::size_t>(id), now)) live.push_back(id);
-  }
-  if (live.empty()) return {candidates.begin(), candidates.end()};
-  hits_ += static_cast<std::int64_t>(candidates.size() - live.size());
-  return live;
-}
-
-void Blacklist::filter_in_place(std::vector<ServerId>& candidates,
-                                SimTime now) {
-  // First pass decides whether the fallback applies; only then compact, so
-  // an all-blacklisted set survives unmodified.
-  bool any_live = false;
-  for (const ServerId id : candidates) {
-    if (!contains(static_cast<std::size_t>(id), now)) {
-      any_live = true;
-      break;
-    }
-  }
-  if (!any_live) return;
-  std::size_t kept = 0;
-  for (const ServerId id : candidates) {
-    if (!contains(static_cast<std::size_t>(id), now)) candidates[kept++] = id;
-  }
-  hits_ += static_cast<std::int64_t>(candidates.size() - kept);
-  candidates.resize(kept);
-}
-
 }  // namespace finelb

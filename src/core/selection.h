@@ -120,39 +120,4 @@ class RoundRobinCursor {
   std::size_t cursor_ = 0;
 };
 
-/// Short-cooldown server blacklist used by the failure-hardened runtimes:
-/// a server whose access recently timed out is excluded from candidate sets
-/// until its cooldown expires, so a crashed node stops eating poll rounds
-/// and requests while the directory's soft-state TTL catches up. Keyed by
-/// small non-negative indices (endpoint index or server id). Not
-/// thread-safe: one instance per client, like the Rng it sits next to.
-class Blacklist {
- public:
-  /// Blacklists `index` until time `until`; extends an existing entry.
-  void add(std::size_t index, SimTime until);
-
-  /// True when `index` is blacklisted at time `now`.
-  bool contains(std::size_t index, SimTime now) const;
-
-  /// Candidates not blacklisted at `now`. Falls back to returning all
-  /// candidates when every one of them is blacklisted — a degraded cluster
-  /// must still be dispatched to, matching the poll-round fallback rule.
-  /// Each excluded candidate counts as one blacklist hit.
-  std::vector<ServerId> filter(std::span<const ServerId> candidates,
-                               SimTime now);
-
-  /// Allocation-free variant: removes blacklisted entries from `candidates`
-  /// in place (order preserved), with the same all-blacklisted fallback
-  /// (the vector is then left untouched and no hits are counted).
-  void filter_in_place(std::vector<ServerId>& candidates, SimTime now);
-
-  std::int64_t insertions() const { return insertions_; }
-  std::int64_t hits() const { return hits_; }
-
- private:
-  std::vector<SimTime> until_;  // grown on demand; index -> expiry
-  std::int64_t insertions_ = 0;
-  std::int64_t hits_ = 0;
-};
-
 }  // namespace finelb

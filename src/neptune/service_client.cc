@@ -4,14 +4,18 @@
 #include <array>
 
 #include "common/check.h"
-#include "common/log.h"
 #include "net/clock.h"
 
 namespace finelb::neptune {
 namespace {
 
-std::uint64_t address_key(const net::Address& addr) {
-  return (static_cast<std::uint64_t>(addr.host) << 16) | addr.port;
+core::DispatcherConfig dispatcher_config(const ServiceClientOptions& options) {
+  core::DispatcherConfig config;
+  config.policy = options.policy;  // endpoints grow with the mapping
+  config.max_poll_wait = options.max_poll_wait;
+  config.blacklist_cooldown = options.blacklist_cooldown;
+  config.max_retries = options.max_attempts - 1;
+  return config;
 }
 
 }  // namespace
@@ -19,14 +23,23 @@ std::uint64_t address_key(const net::Address& addr) {
 ServiceClient::ServiceClient(ServiceClientOptions options)
     : options_(std::move(options)),
       directory_(options_.directory),
-      rng_(options_.seed) {
+      dispatcher_(dispatcher_config(options_), Rng(options_.seed)),
+      jitter_rng_(options_.seed + 1),
+      poll_send_batch_(static_cast<std::size_t>(options_.policy.poll_size),
+                       net::kMaxFixedMsgSize) {
   FINELB_CHECK(!options_.service_name.empty(), "service name required");
   FINELB_CHECK(options_.max_attempts >= 1, "need at least one attempt");
   FINELB_CHECK(options_.policy.kind == PolicyKind::kRandom ||
                    options_.policy.kind == PolicyKind::kRoundRobin ||
                    options_.policy.kind == PolicyKind::kPolling,
                "service client supports random, round-robin, and polling");
+  // A blocking call cannot wait out a round with no deadline.
+  FINELB_CHECK(options_.policy.kind != PolicyKind::kPolling ||
+                   options_.policy.discard_timeout > 0 ||
+                   options_.max_poll_wait > 0,
+               "polling needs a discard timeout or a max_poll_wait");
   rpc_poller_.add(rpc_socket_.fd(), 0);
+  poll_poller_.add(poll_socket_.fd(), 0);
   refresh_mapping(/*force=*/true);
 }
 
@@ -37,10 +50,8 @@ void ServiceClient::refresh_mapping(bool force) {
   // Every retry path funnels through here, so this is what bounds the
   // retry rate against a struggling directory.
   if (now < refresh_backoff_until_) return;
-  std::vector<cluster::ServiceEndpoint> snapshot;
-  try {
-    snapshot = directory_.fetch(options_.service_name);
-  } catch (const InvariantError&) {
+  const auto snapshot = directory_.try_fetch(options_.service_name);
+  if (!snapshot) {
     // Directory unreachable: keep the stale table (stale beats empty) and
     // back off exponentially with jitter, capped at 8x the refresh period.
     ++stats_.refresh_failures;
@@ -52,44 +63,30 @@ void ServiceClient::refresh_mapping(bool force) {
                                     50 * kMillisecond);
     refresh_backoff_until_ =
         now + static_cast<SimDuration>(static_cast<double>(refresh_backoff_) *
-                                       rng_.uniform(0.75, 1.25));
+                                       jitter_rng_.uniform(0.75, 1.25));
     return;
   }
   refresh_backoff_ = 0;
   refresh_backoff_until_ = 0;
   mapping_.clear();
-  for (const auto& endpoint : snapshot) {
-    mapping_[endpoint.partition].push_back(endpoint);
+  for (const auto& endpoint : *snapshot) {
+    mapping_[endpoint.partition].push_back(endpoint_index(endpoint));
   }
+  dispatcher_.grow(endpoints_.size());
   mapping_fetched_at_ = now;
   ++stats_.mapping_refreshes;
 }
 
-std::span<const std::size_t> ServiceClient::live_indices(
-    const std::vector<cluster::ServiceEndpoint>& group, SimTime now) {
-  std::vector<std::size_t>& live = live_scratch_;
-  live.clear();
-  if (options_.blacklist_cooldown > 0) {
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      const auto it = blacklist_until_.find(group[i].server);
-      if (it != blacklist_until_.end() && it->second > now) {
-        ++stats_.blacklist_hits;
-      } else {
-        live.push_back(i);
-      }
+ServerId ServiceClient::endpoint_index(
+    const cluster::ServiceEndpoint& endpoint) {
+  for (std::size_t i = 0; i < endpoints_.size(); ++i) {
+    if (endpoints_[i].server == endpoint.server) {
+      endpoints_[i] = endpoint;  // a restarted server may have moved
+      return static_cast<ServerId>(i);
     }
   }
-  if (live.empty()) {
-    for (std::size_t i = 0; i < group.size(); ++i) live.push_back(i);
-  }
-  return live;
-}
-
-void ServiceClient::mark_timed_out(ServerId server, SimTime now) {
-  if (options_.blacklist_cooldown <= 0) return;
-  SimTime& until = blacklist_until_[server];
-  until = std::max(until, now + options_.blacklist_cooldown);
-  ++stats_.blacklist_insertions;
+  endpoints_.push_back(endpoint);
+  return static_cast<ServerId>(endpoints_.size() - 1);
 }
 
 std::size_t ServiceClient::replicas(std::uint32_t partition) {
@@ -98,103 +95,68 @@ std::size_t ServiceClient::replicas(std::uint32_t partition) {
   return it == mapping_.end() ? 0 : it->second.size();
 }
 
-net::UdpSocket& ServiceClient::poll_socket_for(const net::Address& addr) {
-  const std::uint64_t key = address_key(addr);
-  const auto it = poll_sockets_.find(key);
-  if (it != poll_sockets_.end()) return it->second;
-  net::UdpSocket socket;
-  socket.connect(addr);
-  return poll_sockets_.emplace(key, std::move(socket)).first->second;
+ServerId ServiceClient::choose(const std::vector<ServerId>& group,
+                               int attempt) {
+  if (group.size() == 1) return group.front();  // nothing to choose
+  const SimTime now = net::monotonic_now();
+  dispatcher_.set_live(group);
+  core::Access access;
+  access.index = stats_.calls;
+  access.started_at = now;
+  access.attempt = attempt;
+  const core::Action action = dispatcher_.arrive(access, now);
+  return action.kind == core::Action::Kind::kPoll ? poll(action)
+                                                  : action.decision.target;
 }
 
-std::size_t ServiceClient::choose(
-    const std::vector<cluster::ServiceEndpoint>& group) {
-  if (group.size() == 1) return 0;
-  // Replica choice runs over the group minus blacklisted (recently timed
-  // out) replicas; ids may be sparse so cycle group positions, not ids.
-  const std::span<const std::size_t> live =
-      live_indices(group, net::monotonic_now());
-  if (live.size() == 1) return live.front();
-  position_scratch_.resize(live.size());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    position_scratch_[i] = static_cast<ServerId>(live[i]);
+ServerId ServiceClient::poll(const core::Action& action) {
+  net::LoadInquiry inquiry;
+  inquiry.seq = action.round;
+  std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
+  const std::span<const std::uint8_t> payload(buf.data(),
+                                              inquiry.encode_into(buf));
+  poll_send_batch_.clear();
+  for (const ServerId target : action.targets) {
+    poll_send_batch_.append(
+        payload, endpoints_[static_cast<std::size_t>(target)].load_addr);
   }
-  switch (options_.policy.kind) {
-    case PolicyKind::kRandom:
-      return live[rng_.uniform_int(live.size())];
-    case PolicyKind::kRoundRobin:
-      return static_cast<std::size_t>(rr_.next(position_scratch_));
-    case PolicyKind::kPolling:
-      break;
-    default:
-      FINELB_CHECK(false, "unreachable: policy validated in constructor");
-  }
+  const std::size_t sent = poll_socket_.send_batch(poll_send_batch_);
+  stats_.polls_sent += static_cast<std::int64_t>(sent);
 
-  // Random polling over the live replica positions: partial Fisher-Yates
-  // in place on position_scratch_ (it already holds the candidates, so the
-  // copying choose_poll_set_into would be a wasted pass).
-  std::vector<ServerId>& targets = position_scratch_;
-  {
-    const std::size_t n = targets.size();
-    const std::size_t k =
-        std::min(static_cast<std::size_t>(options_.policy.poll_size), n);
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t j = i + rng_.uniform_int(n - i);
-      std::swap(targets[i], targets[j]);
-    }
-    targets.resize(k);
-  }
-
-  poll_poller_.clear();
-  seq_to_index_.clear();
-  for (const ServerId position : targets) {
-    const auto index = static_cast<std::size_t>(position);
-    net::UdpSocket& socket = poll_socket_for(group[index].load_addr);
-    net::LoadInquiry inquiry;
-    inquiry.seq = next_id_++;
-    std::array<std::uint8_t, net::kMaxFixedMsgSize> inquiry_buf;
-    const std::size_t inquiry_len = inquiry.encode_into(inquiry_buf);
-    if (!socket.send({inquiry_buf.data(), inquiry_len})) continue;
-    ++stats_.polls_sent;
-    seq_to_index_.emplace_back(inquiry.seq, index);
-    poll_poller_.add(socket.fd(), inquiry.seq);
-  }
-  if (seq_to_index_.empty()) return live[rng_.uniform_int(live.size())];
-
-  const SimDuration wait = options_.policy.discard_timeout > 0
-                               ? options_.policy.discard_timeout
-                               : options_.max_poll_wait;
-  const SimTime deadline = net::monotonic_now() + wait;
-  std::vector<ServerLoad>& replies = reply_scratch_;
-  replies.clear();
-  std::array<std::uint8_t, 64> buf{};
-  while (replies.size() < seq_to_index_.size()) {
-    const SimDuration left = deadline - net::monotonic_now();
-    if (left <= 0) break;  // discard outstanding slow polls
-    for (const net::Ready& ready : poll_poller_.wait(left)) {
-      if (!ready.readable) continue;
-      const std::pair<std::uint64_t, std::size_t>* entry = nullptr;
-      for (const auto& candidate : seq_to_index_) {
-        if (candidate.first == ready.tag) {
-          entry = &candidate;
-          break;
-        }
-      }
-      if (entry == nullptr) continue;
-      net::UdpSocket& socket = poll_socket_for(group[entry->second].load_addr);
-      while (auto size = socket.recv(buf)) {
+  // Collect replies until the round is decided or its deadline passes. A
+  // reply is matched to its endpoint by source address and to the round by
+  // seq; stale replies from earlier calls come back discarded.
+  SimTime now = net::monotonic_now();
+  while (sent > 0 && now < action.deadline) {
+    poll_poller_.wait(action.deadline - now);
+    while (poll_socket_.recv_batch(recv_batch_) > 0) {
+      for (std::size_t d = 0; d < recv_batch_.size(); ++d) {
+        const auto from =
+            std::find_if(endpoints_.begin(), endpoints_.end(),
+                         [&](const cluster::ServiceEndpoint& e) {
+                           return e.load_addr == recv_batch_.address(d);
+                         });
         net::LoadReply reply;
-        if (!net::LoadReply::try_decode(std::span(buf.data(), *size), reply)) {
+        if (from == endpoints_.end() ||
+            !net::LoadReply::try_decode(recv_batch_.payload(d), reply)) {
           continue;
         }
-        if (reply.seq != entry->first) continue;  // stale reply
-        replies.push_back({static_cast<ServerId>(entry->second),
-                           reply.queue_length, net::monotonic_now()});
+        now = net::monotonic_now();
+        core::Decision decision;
+        if (dispatcher_.poll_reply(
+                reply.seq,
+                {static_cast<ServerId>(from - endpoints_.begin()),
+                 reply.queue_length, now},
+                now, decision) == core::ReplyOutcome::kDecided) {
+          return decision.target;
+        }
       }
     }
+    now = net::monotonic_now();
   }
-  if (replies.empty()) return live[rng_.uniform_int(live.size())];
-  return static_cast<std::size_t>(pick_least_loaded(replies, rng_));
+  // Deadline (or nothing sent): discard the slow polls and decide with
+  // what arrived — blind when nothing did.
+  return dispatcher_.close_round(action.round, now)->target;
 }
 
 CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
@@ -218,11 +180,15 @@ CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
       // pause this loop would spin hot while the partition has no live
       // replicas; a short jittered sleep bounds the retry rate instead.
       net::sleep_for(static_cast<SimDuration>(
-          static_cast<double>(10 * kMillisecond) * rng_.uniform(0.5, 1.5)));
+          static_cast<double>(10 * kMillisecond) *
+          jitter_rng_.uniform(0.5, 1.5)));
       continue;
     }
-    const auto& group = group_it->second;
-    const std::size_t target = choose(group);
+    const ServerId target = choose(group_it->second, attempt);
+    stats_.blacklist_insertions = dispatcher_.blacklist_insertions();
+    stats_.blacklist_hits = dispatcher_.blacklist_hits();
+    const cluster::ServiceEndpoint& endpoint =
+        endpoints_[static_cast<std::size_t>(target)];
 
     // request_scratch_.args reuses its capacity across calls; the encoded
     // datagram goes through the per-thread scratch buffer, so a warmed-up
@@ -236,8 +202,7 @@ CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
       const std::span<std::uint8_t> out =
           net::thread_scratch(request.encoded_size());
       const std::size_t n = request.encode_into(out);
-      if (!rpc_socket_.send_to(out.subspan(0, n),
-                               group[target].service_addr)) {
+      if (!rpc_socket_.send_to(out.subspan(0, n), endpoint.service_addr)) {
         continue;
       }
     }
@@ -253,6 +218,7 @@ CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
           continue;
         }
         if (response.request_id != request.request_id) continue;  // stale
+        dispatcher_.response(target);
         result.status = response.status;
         result.transport_ok = true;
         result.data = std::move(response.result);
@@ -261,9 +227,13 @@ CallResult ServiceClient::call(std::uint16_t method, std::uint32_t partition,
         return result;
       }
     }
-    // Timed out: blacklist the silent replica so the retry (and subsequent
-    // calls) steer around it, then try again on a fresh choice.
-    mark_timed_out(group[target].server, net::monotonic_now());
+    // Timed out: the dispatcher blacklists the silent replica so the retry
+    // (and subsequent calls) steer around it; it also says whether the
+    // call has attempts left.
+    const bool retry =
+        dispatcher_.timeout(target, attempt, net::monotonic_now());
+    stats_.blacklist_insertions = dispatcher_.blacklist_insertions();
+    if (!retry) break;
   }
   ++stats_.transport_failures;
   result.transport_ok = false;

@@ -12,7 +12,10 @@
 //     partition looks empty or an access times out;
 //   * load balancing — a core::PolicyConfig: random, round-robin, or
 //     random polling over the partition's replicas (with optional discard
-//     of slow polls).
+//     of slow polls), run by a core::Dispatcher, the state machine the
+//     simulator and the prototype client drive too. Each call feeds it one
+//     arrival, then blocks on the poll round it asks for (one unconnected
+//     socket, one sendmmsg, replies matched by source address and seq).
 // Failed accesses are retried against a fresh replica choice, which is how
 // the flat architecture "operates smoothly in the presence of transient
 // failures".
@@ -23,15 +26,14 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/directory.h"
 #include "common/rng.h"
+#include "core/dispatcher.h"
 #include "core/policy.h"
-#include "core/selection.h"
 #include "net/poller.h"
 #include "net/socket.h"
 #include "neptune/rpc.h"
@@ -97,38 +99,37 @@ class ServiceClient {
 
  private:
   void refresh_mapping(bool force);
-  /// Chooses a replica index within `group` per the configured policy.
-  std::size_t choose(const std::vector<cluster::ServiceEndpoint>& group);
-  net::UdpSocket& poll_socket_for(const net::Address& addr);
-  /// Group indices not under blacklist cooldown (all of them if every
-  /// replica is blacklisted — a blind pick beats not dispatching). The
-  /// span views live_scratch_, valid until the next call.
-  std::span<const std::size_t> live_indices(
-      const std::vector<cluster::ServiceEndpoint>& group, SimTime now);
-  void mark_timed_out(ServerId server, SimTime now);
+  /// Dense index of `endpoint` in endpoints_, added (or its addresses
+  /// updated) as needed.
+  ServerId endpoint_index(const cluster::ServiceEndpoint& endpoint);
+  /// Chooses the endpoint for one attempt among `group` (endpoint indices)
+  /// per the configured policy; polls when the policy says so.
+  ServerId choose(const std::vector<ServerId>& group, int attempt);
+  /// Runs the poll round `action` asks for; returns its decision's target.
+  ServerId poll(const core::Action& action);
 
   ServiceClientOptions options_;
   cluster::DirectoryClient directory_;
-  Rng rng_;
-  RoundRobinCursor rr_;
+  /// Every endpoint the directory has listed, by dense index: the
+  /// dispatcher's endpoint ids (published server ids may be sparse).
+  std::vector<cluster::ServiceEndpoint> endpoints_;
+  std::map<std::uint32_t, std::vector<ServerId>> mapping_;  // -> endpoints_
+  core::Dispatcher dispatcher_;
+  Rng jitter_rng_;  // refresh backoff and empty-partition pauses
   net::UdpSocket rpc_socket_;
-  std::map<std::uint64_t, net::UdpSocket> poll_sockets_;  // keyed by host:port
-  std::map<std::uint32_t, std::vector<cluster::ServiceEndpoint>> mapping_;
+  net::UdpSocket poll_socket_;  // unconnected; inquiries to every replica
   SimTime mapping_fetched_at_ = 0;
   std::uint64_t next_id_ = 1;
-  std::map<ServerId, SimTime> blacklist_until_;
   SimTime refresh_backoff_until_ = 0;
   SimDuration refresh_backoff_ = 0;
 
   // Reused across calls so the steady-state RPC path stays off the
-  // allocator: pollers keep their registration arrays, the scratch vectors
-  // keep their capacity, and request_scratch_.args keeps the arg buffer.
-  net::Poller rpc_poller_;   // watches rpc_socket_ only (registered once)
-  net::Poller poll_poller_;  // rebuilt (clear()) per polling round
-  std::vector<std::size_t> live_scratch_;
-  std::vector<ServerId> position_scratch_;
-  std::vector<std::pair<std::uint64_t, std::size_t>> seq_to_index_;
-  std::vector<ServerLoad> reply_scratch_;
+  // allocator: pollers keep their registration arrays, the batches their
+  // buffers, and request_scratch_.args keeps the arg buffer.
+  net::Poller rpc_poller_;   // watches rpc_socket_ only
+  net::Poller poll_poller_;  // watches poll_socket_ only
+  net::DatagramBatch poll_send_batch_;  // one round's inquiries
+  net::DatagramBatch recv_batch_{32, 256};
   RpcRequest request_scratch_;
 
   ServiceClientStats stats_;

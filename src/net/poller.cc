@@ -27,11 +27,6 @@ void Poller::remove(int fd) {
   FINELB_CHECK(false, "fd not registered with poller");
 }
 
-void Poller::clear() {
-  fds_.clear();
-  tags_.clear();
-}
-
 std::span<const Ready> Poller::wait(SimDuration timeout) {
   timespec ts{};
   timespec* ts_ptr = nullptr;

@@ -31,8 +31,6 @@ class Poller {
   /// Watches `fd` for readability; `tag` is returned with readiness events.
   void add(int fd, std::uint64_t tag);
   void remove(int fd);
-  /// Forgets every registered fd (for pollers reused across rounds).
-  void clear();
   std::size_t size() const { return fds_.size(); }
 
   /// Waits up to `timeout` nanoseconds (negative blocks indefinitely, 0

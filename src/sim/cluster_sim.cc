@@ -1,9 +1,10 @@
 // Cluster simulation model (paper §2).
 //
 // Entities: N servers (non-preemptive processing unit + FIFO queue), C
-// client streams generating requests from the workload, and a policy layer
-// that decides the target server per request. All five policies of
-// core/policy.h are implemented in terms of simulated message events.
+// client streams generating requests from the workload, and per client a
+// core::Dispatcher that decides the target server per request. This file is
+// the dispatcher's virtual-time driver: it turns the dispatcher's actions
+// into simulated message events and feeds their outcomes back in.
 //
 // Timing model per request (client-observed response time):
 //   generated -> [policy: 0 for random/rr/ideal/broadcast, poll RTT for
@@ -14,19 +15,16 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/selection.h"
+#include "core/dispatcher.h"
 #include "sim/config.h"
 #include "sim/engine.h"
 
 namespace finelb::sim {
 namespace {
 
-struct Job {
-  std::int64_t index = 0;
-  SimTime generated_at = 0;
-  SimDuration service_time = 0;
-  SimTime dispatched_at = 0;  // when the policy decision completed
-};
+/// A simulated request is the dispatcher's Access; started_at is the
+/// instant the client generated it.
+using Job = core::Access;
 
 class Simulation {
  public:
@@ -44,10 +42,8 @@ class Simulation {
                          static_cast<std::size_t>(config.servers),
                  "server_speeds must be empty or one entry per server");
     servers_.resize(static_cast<std::size_t>(config.servers));
-    all_server_ids_.reserve(servers_.size());
     double total_speed = 0.0;
     for (std::size_t s = 0; s < servers_.size(); ++s) {
-      all_server_ids_.push_back(static_cast<ServerId>(s));
       servers_[s].rng = root_rng_.split();
       if (!config.server_speeds.empty()) {
         FINELB_CHECK(config.server_speeds[s] > 0.0,
@@ -80,15 +76,19 @@ class Simulation {
         workload.arrival_scale_for_load(config.load, config.servers) *
         (static_cast<double>(config.servers) / total_speed) *
         static_cast<double>(config.clients);
-    clients_.resize(static_cast<std::size_t>(config.clients));
-    for (std::size_t c = 0; c < clients_.size(); ++c) {
-      clients_[c].source = workload.make_source(scale, config.seed + 101 * c);
-      clients_[c].rng = root_rng_.split();
-      clients_[c].table.resize(servers_.size());
-      for (std::size_t s = 0; s < servers_.size(); ++s) {
-        clients_[c].table[s] = {static_cast<ServerId>(s), 0, 0};
-      }
+    // Hardening stays off: no blacklist, no retries. Only the round
+    // backstop applies, and only under faults.
+    core::DispatcherConfig dispatch;
+    dispatch.policy = config.policy;
+    dispatch.endpoints = servers_.size();
+    dispatch.max_poll_wait = faults_enabled_ ? config.faults.max_poll_wait : 0;
+    clients_.reserve(static_cast<std::size_t>(config.clients));
+    for (int c = 0; c < config.clients; ++c) {
+      clients_.push_back(
+          {workload.make_source(scale, config.seed + 101 * c),
+           core::Dispatcher(dispatch, root_rng_.split())});
     }
+    oracle_loads_.resize(servers_.size());
     // The fault stream splits last so that fault-free configurations draw
     // exactly the seed sequences they always did.
     if (faults_enabled_) {
@@ -149,21 +149,7 @@ class Simulation {
 
   struct Client {
     std::unique_ptr<RequestSource> source;
-    Rng rng;
-    RoundRobinCursor rr;
-    std::vector<ServerLoad> table;  // broadcast policy's local view
-    /// Memory-augmented polling: last round's winner (kInvalidServer when
-    /// unset or invalidated by a blind dispatch).
-    ServerLoad memory{kInvalidServer, 0, 0};
-  };
-
-  /// In-flight poll round for one request (polling policy only).
-  struct PollRound {
-    Job job;
-    std::size_t client = 0;
-    std::vector<ServerId> targets;
-    std::vector<ServerLoad> replies;
-    bool dispatched = false;
+    core::Dispatcher dispatcher;
   };
 
   // --- request generation --------------------------------------------------
@@ -176,7 +162,7 @@ class Simulation {
     engine_.schedule_after(rec.arrival_interval, [this, c, index, rec] {
       Job job;
       job.index = index;
-      job.generated_at = engine_.now();
+      job.started_at = engine_.now();
       job.service_time = rec.service_time;
       handle_new_request(c, job);
       schedule_next_arrival(c);
@@ -184,73 +170,52 @@ class Simulation {
   }
 
   void handle_new_request(std::size_t c, const Job& job) {
-    Client& client = clients_[c];
-    switch (config_.policy.kind) {
-      case PolicyKind::kRandom:
-        dispatch(job, pick_random(all_server_ids_, client.rng));
+    core::Dispatcher& dispatcher = clients_[c].dispatcher;
+    const core::Action action =
+        dispatcher.arrive(job, engine_.now(), config_.decision_sink);
+    switch (action.kind) {
+      case core::Action::Kind::kDispatch:
+        dispatch(job, action.decision.target);
         break;
-      case PolicyKind::kRoundRobin:
-        dispatch(job, client.rr.next(all_server_ids_));
-        break;
-      case PolicyKind::kIdeal: {
+      case core::Action::Kind::kAskOracle:
         // The oracle sees assigned-but-uncompleted counts, matching the
         // prototype's centralized manager which increments on assignment.
-        std::vector<ServerLoad> loads(servers_.size());
         for (std::size_t s = 0; s < servers_.size(); ++s) {
-          loads[s] = {static_cast<ServerId>(s), servers_[s].committed,
-                      engine_.now()};
+          oracle_loads_[s] = {static_cast<ServerId>(s), servers_[s].committed,
+                              engine_.now()};
         }
-        dispatch(job, pick_least_loaded(loads, client.rng));
+        dispatch(job, dispatcher.oracle_pick(oracle_loads_));
         break;
-      }
-      case PolicyKind::kBroadcast: {
-        const ServerId target = pick_least_loaded(client.table, client.rng);
-        if (config_.policy.optimistic_increment) {
-          ++client.table[static_cast<std::size_t>(target)].queue_length;
-        }
-        dispatch(job, target);
-        break;
-      }
-      case PolicyKind::kPolling:
-        start_poll_round(c, job);
+      case core::Action::Kind::kPoll:
+        start_poll_round(c, action);
         break;
     }
   }
 
   // --- random polling -------------------------------------------------------
 
-  void start_poll_round(std::size_t c, const Job& job) {
-    auto round = std::make_shared<PollRound>();
-    round->job = job;
-    round->client = c;
-    round->targets = choose_poll_set(
-        all_server_ids_, static_cast<std::size_t>(config_.policy.poll_size),
-        clients_[c].rng);
-    result_.polls_sent +=
-        static_cast<std::int64_t>(round->targets.size());
-
-    for (const ServerId target : round->targets) {
+  void start_poll_round(std::size_t c, const core::Action& action) {
+    const core::RoundId round = action.round;
+    result_.polls_sent += static_cast<std::int64_t>(action.targets.size());
+    for (const ServerId target : action.targets) {
       ++result_.messages;  // inquiry
       if (lose_msg()) continue;  // inquiry eaten by the network
-      engine_.schedule_after(config_.network.poll_oneway, [this, round,
-                                                           target] {
-        answer_poll(round, target);
-      });
+      engine_.schedule_after(config_.network.poll_oneway,
+                             [this, c, round, target] {
+                               answer_poll(c, round, target);
+                             });
     }
-    SimDuration round_deadline = config_.policy.discard_timeout;
-    if (round_deadline <= 0 && faults_enabled_) {
-      // Backstop: without the discard optimization a lossy network could
-      // starve the round forever (mirrors the prototype's max_poll_wait).
-      round_deadline = config_.faults.max_poll_wait;
-    }
-    if (round_deadline > 0) {
-      engine_.schedule_after(round_deadline, [this, round] {
-        if (!round->dispatched) finish_poll_round(*round);
+    if (action.deadline != core::kNoDeadline) {
+      engine_.schedule_at(action.deadline, [this, c, round] {
+        if (auto decision =
+                clients_[c].dispatcher.close_round(round, engine_.now())) {
+          finish_poll_round(*decision);
+        }
       });
     }
   }
 
-  void answer_poll(const std::shared_ptr<PollRound>& round, ServerId target) {
+  void answer_poll(std::size_t c, core::RoundId round, ServerId target) {
     Server& server = servers_[static_cast<std::size_t>(target)];
     if (server.crashed) return;  // nobody home to answer
     // Reply cost: a fixed CPU charge plus an optional queue-proportional
@@ -263,58 +228,29 @@ class Simulation {
     ++result_.messages;  // reply
     if (lose_msg()) return;  // reply sent, eaten in transit
     engine_.schedule_after(
-        reply_delay + config_.network.poll_oneway, [this, round, observation] {
-          if (round->dispatched) {
-            ++result_.polls_discarded;
-            return;
-          }
-          round->replies.push_back(observation);
-          if (round->replies.size() == round->targets.size()) {
-            finish_poll_round(*round);
+        reply_delay + config_.network.poll_oneway,
+        [this, c, round, observation] {
+          core::Decision decision;
+          const core::ReplyOutcome outcome = clients_[c].dispatcher.poll_reply(
+              round, observation, engine_.now(), decision);
+          if (outcome == core::ReplyOutcome::kDiscarded) {
+            ++result_.polls_discarded;  // the round was already decided
+          } else if (outcome == core::ReplyOutcome::kDecided) {
+            finish_poll_round(decision);
           }
         });
   }
 
-  void finish_poll_round(PollRound& round) {
-    round.dispatched = true;
-    Client& client = clients_[round.client];
-    ServerId target = kInvalidServer;
-    std::vector<ServerLoad> candidates = round.replies;
-    if (config_.policy.poll_memory &&
-        client.memory.server != kInvalidServer) {
-      candidates.push_back(client.memory);
+  void finish_poll_round(const core::Decision& decision) {
+    // Blind: every inquiry or reply was lost and the dispatcher picked
+    // randomly over the polled candidates rather than stall the access.
+    if (decision.blind) ++result_.poll_fallbacks;
+    const Job& job = decision.access;
+    if (should_record(job)) {
+      result_.poll_time_ms.add(to_ms(engine_.now() - job.started_at));
+      record_decision_quality(decision.target, decision.blind);
     }
-    // Route the choice through the core/selection.h choke point so the
-    // audit sink (when configured) sees exactly what the prototype client
-    // records. RNG consumption is identical to the unrecorded overloads.
-    DecisionContext ctx;
-    ctx.request_id = static_cast<std::uint64_t>(round.job.index);
-    ctx.now_ns = engine_.now();
-    ctx.sink = config_.decision_sink;
-    const bool blind = candidates.empty();
-    if (blind) {
-      // Fallback rule: every inquiry or reply was lost — dispatch randomly
-      // over the polled candidates rather than stalling the access.
-      ++result_.poll_fallbacks;
-      target = pick_random_fallback(round.targets, client.rng, ctx);
-      client.memory = {kInvalidServer, 0, 0};  // blind dispatch: no info
-    } else {
-      target = pick_least_loaded(candidates, client.rng, ctx);
-      if (config_.policy.poll_memory) {
-        // Remember the winner, accounting for the access we now add to it.
-        for (const ServerLoad& entry : candidates) {
-          if (entry.server == target) {
-            client.memory = {target, entry.queue_length + 1, engine_.now()};
-            break;
-          }
-        }
-      }
-    }
-    if (should_record(round.job)) {
-      result_.poll_time_ms.add(to_ms(engine_.now() - round.job.generated_at));
-      record_decision_quality(target, blind);
-    }
-    dispatch(round.job, target);
+    dispatch(job, decision.target);
   }
 
   /// Exact regret accounting: the simulator is omniscient, so each polling
@@ -338,8 +274,7 @@ class Simulation {
 
   // --- dispatch, queueing, service ------------------------------------------
 
-  void dispatch(Job job, ServerId target) {
-    job.dispatched_at = engine_.now();
+  void dispatch(const Job& job, ServerId target) {
     Server& server = servers_[static_cast<std::size_t>(target)];
     ++result_.messages;  // request
     if (faults_enabled_) {
@@ -414,7 +349,7 @@ class Simulation {
       return;  // already failed by timeout; late response is discarded
     }
     if (should_record(job)) {
-      const double rt_ms = to_ms(engine_.now() - job.generated_at);
+      const double rt_ms = to_ms(engine_.now() - job.started_at);
       result_.response_ms.add(rt_ms);
       result_.response_hist_ms.add(rt_ms);
     }
@@ -485,8 +420,8 @@ class Simulation {
           if (lose_msg()) continue;  // this client's copy was eaten
           engine_.schedule_after(config_.network.broadcast_oneway,
                                  [this, c, announcement] {
-                                   clients_[c].table[static_cast<std::size_t>(
-                                       announcement.server)] = announcement;
+                                   clients_[c].dispatcher.announce(
+                                       announcement);
                                  });
         }
       }
@@ -515,8 +450,8 @@ class Simulation {
   Rng root_rng_;
   Engine engine_;
   std::vector<Server> servers_;
-  std::vector<ServerId> all_server_ids_;
   std::vector<Client> clients_;
+  std::vector<ServerLoad> oracle_loads_;  // IDEAL scratch, one per server
   std::int64_t generated_ = 0;
   std::int64_t resolved_count_ = 0;  // completed + failed
   bool faults_enabled_ = false;

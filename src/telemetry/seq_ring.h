@@ -3,8 +3,10 @@
 // audit ring (DecisionRing).
 //
 // Writers may run concurrently on any thread: one relaxed fetch_add on the
-// head claims a slot, and the record is copied into the slot's atomic words
-// the way common/seqlock.h copies its payload. Claims a full lap apart map
+// head claims a slot, and the record is copied into the slot's array of
+// std::atomic<std::uint64_t> words, release stores bracketed by the slot's
+// sequence word (a plain memcpy against a concurrent reader would be a data
+// race by the letter of the memory model). Claims a full lap apart map
 // to the same slot, so a writer first waits until the previous lap's writer
 // of its slot has sealed it: each slot has one writer at a time, and a
 // slower writer can never finish over a newer record. The wait only

@@ -233,6 +233,28 @@ TEST(ClientNodeTest, IdealPolicyUsesManagerAndReleases) {
   manager.stop();
 }
 
+TEST(ClientNodeTest, IdealPollTimeReachesTheRegistry) {
+  // An IDEAL access spends its acquisition time waiting on the manager; the
+  // exported poll_time_ms histogram must count it as ClientStats does.
+  TestCluster cluster(2);
+  IdealManager manager(2, 5);
+  manager.start();
+  ClientOptions opts = base_options(cluster, PolicyConfig::ideal(), 60);
+  opts.ideal_manager = manager.address();
+  ClientNode client(std::move(opts), fast_source());
+  client.run();
+  manager.stop();
+  const ClientStats& stats = client.stats();
+  EXPECT_EQ(stats.completed, 60);
+  EXPECT_EQ(stats.poll_time_ms.count(), 60);
+  if (!telemetry::kEnabled) return;
+  std::int64_t registry_count = -1;
+  for (const auto& hist : client.metrics().snapshot().histograms) {
+    if (hist.name == "poll_time_ms") registry_count = hist.count;
+  }
+  EXPECT_EQ(registry_count, stats.poll_time_ms.count());
+}
+
 TEST(ClientNodeTest, IdealWithoutManagerAddressRejected) {
   TestCluster cluster(1);
   EXPECT_THROW(ClientNode(base_options(cluster, PolicyConfig::ideal(), 10),
