@@ -112,6 +112,23 @@ TEST(GoldenSimTest, Polling3DiscardBelowPollRtt) {
   EXPECT_EQ(digest(r), "d41914e69b080585");
 }
 
+TEST(GoldenSimTest, Polling3QueueScaledReplies) {
+  // Each reply is delayed by poll_reply_cpu per queued access, so one
+  // round's replies land at different instants.
+  SimConfig c = config(PolicyConfig::polling(3));
+  c.network.poll_reply_cpu = from_us(20);
+  c.network.poll_reply_scales_with_queue = true;
+  EXPECT_EQ(digest(run_cluster_sim(c, fine())), "ce4d284796d4d101");
+}
+
+TEST(GoldenSimTest, Polling16PollsEveryServer) {
+  // A poll set wider than kDecisionPollMax: every server, every round.
+  const SimResult r =
+      run_cluster_sim(config(PolicyConfig::polling(16)), fine());
+  EXPECT_EQ(r.polls_sent, 16 * r.completed);
+  EXPECT_EQ(digest(r), "8f518f537b0c36e9");
+}
+
 TEST(GoldenSimTest, Polling3LossAndCrashRestart) {
   SimConfig c = config(PolicyConfig::polling(3));
   c.faults.msg_loss_prob = 0.05;
