@@ -425,7 +425,9 @@ void ClientNode::dispatch(const core::Access& access, std::size_t server_index,
     ++resolved_;
     m_in_flight_.fetch_sub(1, std::memory_order_relaxed);
     record_outcome(net::monotonic_now(), /*completed=*/false, 0.0);
-    if (manager_acquired) release_manager_slot(server_index);
+    if (manager_acquired) {
+      release_manager_slot(options_.servers[server_index].id);
+    }
     return;
   }
   outstanding_.push_back({request_key(access.index), access, server_index,
@@ -434,8 +436,11 @@ void ClientNode::dispatch(const core::Access& access, std::size_t server_index,
 }
 
 void ClientNode::drain_service_socket() {
-  while (service_socket_.recv_batch(recv_batch_) > 0) {
-    for (std::size_t d = 0; d < recv_batch_.size(); ++d) {
+  // A short batch means the socket is empty; skip the confirming call.
+  std::size_t received = 0;
+  do {
+    received = service_socket_.recv_batch(recv_batch_);
+    for (std::size_t d = 0; d < received; ++d) {
       net::ServiceResponse response;
       if (!net::ServiceResponse::try_decode(recv_batch_.payload(d),
                                             response)) {
@@ -482,11 +487,13 @@ void ClientNode::drain_service_socket() {
       m_completed_.inc();
       ++resolved_;
       m_in_flight_.fetch_sub(1, std::memory_order_relaxed);
-      if (out.manager_acquired) release_manager_slot(out.server_index);
+      if (out.manager_acquired) {
+        release_manager_slot(options_.servers[out.server_index].id);
+      }
       outstanding_[idx] = outstanding_.back();
       outstanding_.pop_back();
     }
-  }
+  } while (received == recv_batch_.capacity());
 }
 
 void ClientNode::drain_manager_socket() {
@@ -508,11 +515,17 @@ void ClientNode::drain_manager_socket() {
     manager_rounds_[idx] = manager_rounds_.back();
     manager_rounds_.pop_back();
     const SimTime now = net::monotonic_now();
-    std::size_t index = index_of(reply.server);
+    const std::size_t index = index_of(reply.server);
     if (index == options_.servers.size()) {
       FINELB_LOG(kWarn, "client") << "manager chose unknown server "
                                   << reply.server;
-      index = static_cast<std::size_t>(dispatcher_.fallback(now));
+      // The manager counted the access against the server it named: hand
+      // that slot back now, since the access goes elsewhere unacquired.
+      release_manager_slot(reply.server);
+      dispatch_decided(access,
+                       static_cast<std::size_t>(dispatcher_.fallback(now)),
+                       /*manager_acquired=*/false, now);
+      continue;
     }
     dispatch_decided(access, index, /*manager_acquired=*/true, now);
   }
@@ -549,8 +562,10 @@ std::size_t ClientNode::endpoint_of(const net::Address& from) const {
 }
 
 void ClientNode::drain_poll_socket() {
-  while (poll_socket_.recv_batch(recv_batch_) > 0) {
-    for (std::size_t d = 0; d < recv_batch_.size(); ++d) {
+  std::size_t received = 0;
+  do {
+    received = poll_socket_.recv_batch(recv_batch_);
+    for (std::size_t d = 0; d < received; ++d) {
       const std::size_t server_index = endpoint_of(recv_batch_.address(d));
       if (server_index == options_.servers.size()) continue;  // not polled
       net::LoadReply reply;
@@ -594,7 +609,7 @@ void ClientNode::drain_poll_socket() {
         finish_poll_round(decision, now);
       }
     }
-  }
+  } while (received == recv_batch_.capacity());
 }
 
 void ClientNode::fire_deadlines(SimTime now) {
@@ -632,7 +647,9 @@ void ClientNode::fire_deadlines(SimTime now) {
       core::Access access = outstanding_[i].access;
       outstanding_[i] = outstanding_.back();
       outstanding_.pop_back();
-      if (manager_acquired) release_manager_slot(server_index);
+      if (manager_acquired) {
+        release_manager_slot(options_.servers[server_index].id);
+      }
       if (dispatcher_.timeout(static_cast<ServerId>(server_index),
                               access.attempt, now)) {
         // Re-dispatch to a fresh candidate (the failing server may just
@@ -658,9 +675,9 @@ void ClientNode::fire_deadlines(SimTime now) {
   }
 }
 
-void ClientNode::release_manager_slot(std::size_t server_index) {
+void ClientNode::release_manager_slot(ServerId server) {
   net::Release release;
-  release.server = options_.servers[server_index].id;
+  release.server = server;
   if (!send_fixed(release, [&](auto p) { return manager_socket_->send(p); })) {
     ++stats_.send_failures;
   }

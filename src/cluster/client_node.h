@@ -247,7 +247,9 @@ class ClientNode {
                         bool manager_acquired, SimTime now);
   void dispatch(const core::Access& access, std::size_t server_index,
                 bool manager_acquired = false);
-  void release_manager_slot(std::size_t server_index);
+  /// Tells the IDEAL manager that an access it counted against `server`
+  /// is over.
+  void release_manager_slot(ServerId server);
   void drain_service_socket();
   void drain_manager_socket();
   void drain_broadcast_socket();

@@ -129,8 +129,10 @@ ServerId ServiceClient::poll(const core::Action& action) {
   SimTime now = net::monotonic_now();
   while (sent > 0 && now < action.deadline) {
     poll_poller_.wait(action.deadline - now);
-    while (poll_socket_.recv_batch(recv_batch_) > 0) {
-      for (std::size_t d = 0; d < recv_batch_.size(); ++d) {
+    std::size_t received = 0;
+    do {
+      received = poll_socket_.recv_batch(recv_batch_);
+      for (std::size_t d = 0; d < received; ++d) {
         const auto from =
             std::find_if(endpoints_.begin(), endpoints_.end(),
                          [&](const cluster::ServiceEndpoint& e) {
@@ -151,7 +153,7 @@ ServerId ServiceClient::poll(const core::Action& action) {
           return decision.target;
         }
       }
-    }
+    } while (received == recv_batch_.capacity());
     now = net::monotonic_now();
   }
   // Deadline (or nothing sent): discard the slow polls and decide with

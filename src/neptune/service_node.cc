@@ -111,9 +111,12 @@ void ServiceNode::load_recv_loop() {
   net::DatagramBatch replies(32, 64);
   while (running_.load(std::memory_order_relaxed)) {
     if (poller.wait(50 * kMillisecond).empty()) continue;
-    while (load_socket_.recv_batch(inquiries) > 0) {
+    // A short batch means the socket is empty; skip the confirming call.
+    std::size_t received = 0;
+    do {
+      received = load_socket_.recv_batch(inquiries);
       replies.clear();
-      for (std::size_t i = 0; i < inquiries.size(); ++i) {
+      for (std::size_t i = 0; i < received; ++i) {
         net::LoadInquiry inquiry;
         if (!net::LoadInquiry::try_decode(inquiries.payload(i), inquiry)) {
           // Not a load inquiry: the observability pull channel shares this
@@ -157,7 +160,7 @@ void ServiceNode::load_recv_loop() {
         }
       }
       load_socket_.send_batch(replies);
-    }
+    } while (received == inquiries.capacity());
   }
 }
 

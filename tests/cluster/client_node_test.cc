@@ -233,6 +233,61 @@ TEST(ClientNodeTest, IdealPolicyUsesManagerAndReleases) {
   manager.stop();
 }
 
+TEST(ClientNodeTest, ManagerNamingUnknownServerGetsItsSlotBack) {
+  // A stand-in IDEAL manager names a server the client does not know. The
+  // client dispatches each access to a fallback instead, so it must
+  // release the slot the manager counted against the id it named, and
+  // release nothing against the fallback server, which the manager never
+  // counted.
+  constexpr ServerId kUnknown = 99;
+  constexpr std::int64_t kAccesses = 40;
+  TestCluster cluster(2);
+  net::UdpSocket manager;
+  std::atomic<bool> done{false};
+  std::atomic<int> acquires{0};
+  std::atomic<int> named_releases{0};
+  std::atomic<int> other_releases{0};
+  std::thread answerer([&] {
+    net::Poller poller;
+    poller.add(manager.fd(), 0);
+    std::array<std::uint8_t, 64> buf{};
+    while (!done.load()) {
+      poller.wait(10 * kMillisecond);
+      while (auto dgram = manager.recv_from(buf)) {
+        const auto data = std::span(buf.data(), dgram->size);
+        net::Acquire acquire;
+        net::Release release;
+        if (net::Acquire::try_decode(data, acquire)) {
+          ++acquires;
+          net::AcquireReply reply;
+          reply.seq = acquire.seq;
+          reply.server = kUnknown;
+          manager.send_to(reply.encode(), dgram->from);
+        } else if (net::Release::try_decode(data, release)) {
+          ++(release.server == kUnknown ? named_releases : other_releases);
+        }
+      }
+    }
+  });
+  ClientOptions opts = base_options(cluster, PolicyConfig::ideal(), kAccesses);
+  opts.ideal_manager = manager.local_address();
+  ClientNode client(std::move(opts), fast_source());
+  client.run();
+  // Releases for the last accesses may still be in flight.
+  const SimTime give_up = net::monotonic_now() + kSecond;
+  while (named_releases.load() + other_releases.load() < kAccesses &&
+         net::monotonic_now() < give_up) {
+    net::sleep_for(kMillisecond);
+  }
+  done.store(true);
+  answerer.join();
+  EXPECT_EQ(client.stats().completed, kAccesses);
+  EXPECT_EQ(client.stats().manager_timeouts, 0);
+  EXPECT_EQ(acquires.load(), kAccesses);
+  EXPECT_EQ(named_releases.load(), kAccesses);
+  EXPECT_EQ(other_releases.load(), 0);
+}
+
 TEST(ClientNodeTest, IdealPollTimeReachesTheRegistry) {
   // An IDEAL access spends its acquisition time waiting on the manager; the
   // exported poll_time_ms histogram must count it as ClientStats does.
