@@ -7,10 +7,12 @@
 // With --json (or --smoke) the binary skips google-benchmark and runs the
 // trajectory measurements instead: steady-state engine throughput
 // (events/sec at a fixed outstanding-event plateau — the engine's operating
-// mode inside a sweep) and the sequential-vs-parallel wall clock of a small
-// fig-style sweep, asserting the parallel results are bit-identical. The
-// JSON lands at the given path so successive commits can be compared;
-// --smoke shrinks the workload to ctest scale (label: bench-smoke).
+// mode inside a sweep), the engine events one simulated access costs on
+// the paper's Fig. 4 setting, and the sequential-vs-parallel wall clock of
+// a small fig-style sweep, asserting the parallel results are
+// bit-identical. The JSON lands at the given path so successive commits
+// can be compared; --smoke shrinks the workload to ctest scale (label:
+// bench-smoke).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -212,6 +214,23 @@ double measure_engine_events_per_sec(std::int64_t events_per_rep, int reps,
   return best;
 }
 
+/// Engine events one simulated access costs on the paper's Fig. 4 setting
+/// (16 servers, 6 client streams, polling(3), the fine-grain trace at 90%
+/// load; perfbench's sim_poll3_fine), from one seeded run.
+double measure_cluster_events_per_request(std::int64_t requests) {
+  sim::SimConfig config;
+  config.servers = 16;
+  config.clients = 6;
+  config.policy = PolicyConfig::polling(3);
+  config.load = 0.9;
+  config.total_requests = requests;
+  config.warmup_requests = requests / 10;
+  config.seed = 1;
+  const sim::SimResult r =
+      run_cluster_sim(config, make_fine_grain(100'000, 1));
+  return static_cast<double>(r.events) / static_cast<double>(requests);
+}
+
 struct SweepTiming {
   int points = 0;
   std::int64_t requests = 0;
@@ -268,10 +287,15 @@ int run_trajectory(const std::string& json_path, bool smoke) {
   std::vector<double> rates;
   const double events_per_sec =
       measure_engine_events_per_sec(engine_events, reps, &rates);
+  const std::int64_t cluster_requests = smoke ? 20'000 : 200'000;
+  const double events_per_request =
+      measure_cluster_events_per_request(cluster_requests);
   const SweepTiming sweep = measure_sweep(smoke ? 5'000 : 60'000);
 
   std::printf("engine steady-state: %.0f events/sec (best of %d x %lld)\n",
               events_per_sec, reps, static_cast<long long>(engine_events));
+  std::printf("cluster (sim_poll3_fine): %.2f engine events per request\n",
+              events_per_request);
   std::printf(
       "sweep: %d points x %lld requests, %.3fs sequential / %.3fs on %u "
       "threads, bit_identical=%s\n",
@@ -297,6 +321,13 @@ int run_trajectory(const std::string& json_path, bool smoke) {
       std::fprintf(out, "%s%.0f", i == 0 ? "" : ", ", rates[i]);
     }
     std::fprintf(out, "]\n  },\n");
+    std::fprintf(out, "  \"cluster\": {\n");
+    std::fprintf(out, "    \"config\": \"sim_poll3_fine\",\n");
+    std::fprintf(out, "    \"requests\": %lld,\n",
+                 static_cast<long long>(cluster_requests));
+    std::fprintf(out, "    \"events_per_request\": %.4f\n",
+                 events_per_request);
+    std::fprintf(out, "  },\n");
     std::fprintf(out, "  \"sweep\": {\n");
     std::fprintf(out, "    \"points\": %d,\n", sweep.points);
     std::fprintf(out, "    \"requests_per_point\": %lld,\n",

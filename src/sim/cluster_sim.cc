@@ -10,8 +10,22 @@
 //   generated -> [policy: 0 for random/rr/ideal/broadcast, poll RTT for
 //   polling] -> request transit -> FIFO queue -> service -> response
 //   transit -> recorded.
+//
+// Engine events per request: the arrival, the request landing, the service
+// completion and the response landing; polling adds one event per poll leg.
+// A round's inquiries all leave at once and land at once, so one event
+// answers every target; the replies that land at one instant arrive as one
+// event (with queue-scaled reply cost, one per distinct instant). A
+// fault-free polling access thus costs 6 events whatever the poll size.
+// The batching leaves seeded output bit-identical: events scheduled back to
+// back for one instant hold consecutive seqs, so nothing else could fire
+// between them, and the batch runs them in the same order with every loss
+// draw at the same point.
+#include <cstddef>
 #include <deque>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -110,18 +124,18 @@ class Simulation {
     }
     for (const ServerOutage& outage : config_.outages) {
       const auto target = static_cast<std::size_t>(outage.server);
-      engine_.schedule_at(outage.start,
-                          [this, target] { servers_[target].paused = true; });
-      engine_.schedule_at(outage.start + outage.duration, [this, target] {
+      schedule_at(outage.start,
+                  [this, target] { servers_[target].paused = true; });
+      schedule_at(outage.start + outage.duration, [this, target] {
         servers_[target].paused = false;
         maybe_start_next(static_cast<ServerId>(target));
       });
     }
     for (const ServerCrash& crash : config_.faults.crashes) {
       const auto target = static_cast<std::size_t>(crash.server);
-      engine_.schedule_at(crash.at, [this, target] { crash_server(target); });
+      schedule_at(crash.at, [this, target] { crash_server(target); });
       if (crash.restart_at > crash.at) {
-        engine_.schedule_at(crash.restart_at, [this, target] {
+        schedule_at(crash.restart_at, [this, target] {
           servers_[target].crashed = false;
         });
       }
@@ -152,6 +166,35 @@ class Simulation {
     core::Dispatcher dispatcher;
   };
 
+  /// One poll round's messages in flight, pooled so that a leg's event
+  /// carries an index rather than the messages, whatever the poll size.
+  struct PollLeg {
+    std::size_t client = 0;
+    core::RoundId round = 0;
+    /// Inquiry leg: the targets whose inquiries survived, in target order
+    /// (load fields unset). Reply leg: the replies that survived, by
+    /// landing instant and in target order within one.
+    std::vector<ServerLoad> loads;
+  };
+
+  // --- event scheduling ------------------------------------------------------
+
+  /// Every cluster-model event is stored inline in the engine's slot,
+  /// never boxed on the heap.
+  template <class F>
+  void schedule_at(SimTime t, F&& fn) {
+    using Fn = std::decay_t<F>;
+    static_assert(sizeof(Fn) <= Engine::kInlineEventBytes &&
+                      alignof(Fn) <= alignof(std::max_align_t),
+                  "cluster-model events must fit Engine::kInlineEventBytes");
+    engine_.schedule_at(t, std::forward<F>(fn));
+  }
+
+  template <class F>
+  void schedule_after(SimDuration delay, F&& fn) {
+    schedule_at(engine_.now() + delay, std::forward<F>(fn));
+  }
+
   // --- request generation --------------------------------------------------
 
   void schedule_next_arrival(std::size_t c) {
@@ -159,7 +202,7 @@ class Simulation {
     const TraceRecord rec = clients_[c].source->next();
     ++generated_;
     const std::int64_t index = generated_ - 1;
-    engine_.schedule_after(rec.arrival_interval, [this, c, index, rec] {
+    schedule_after(rec.arrival_interval, [this, c, index, rec] {
       Job job;
       job.index = index;
       job.started_at = engine_.now();
@@ -197,16 +240,21 @@ class Simulation {
   void start_poll_round(std::size_t c, const core::Action& action) {
     const core::RoundId round = action.round;
     result_.polls_sent += static_cast<std::int64_t>(action.targets.size());
+    const std::uint32_t leg = acquire_leg(c, round);
+    std::vector<ServerLoad>& inquiries = legs_[leg].loads;
     for (const ServerId target : action.targets) {
       ++result_.messages;  // inquiry
       if (lose_msg()) continue;  // inquiry eaten by the network
-      engine_.schedule_after(config_.network.poll_oneway,
-                             [this, c, round, target] {
-                               answer_poll(c, round, target);
-                             });
+      inquiries.push_back({target, 0, 0});
+    }
+    if (inquiries.empty()) {
+      release_leg(leg);
+    } else {
+      schedule_after(config_.network.poll_oneway,
+                     [this, leg] { answer_polls(leg); });
     }
     if (action.deadline != core::kNoDeadline) {
-      engine_.schedule_at(action.deadline, [this, c, round] {
+      schedule_at(action.deadline, [this, c, round] {
         if (auto decision =
                 clients_[c].dispatcher.close_round(round, engine_.now())) {
           finish_poll_round(*decision);
@@ -215,31 +263,97 @@ class Simulation {
     }
   }
 
-  void answer_poll(std::size_t c, core::RoundId round, ServerId target) {
-    Server& server = servers_[static_cast<std::size_t>(target)];
-    if (server.crashed) return;  // nobody home to answer
-    // Reply cost: a fixed CPU charge plus an optional queue-proportional
-    // term modelling slow replies from busy servers (paper §3.2 profile).
-    SimDuration reply_delay = config_.network.poll_reply_cpu;
+  /// Reply cost: a fixed CPU charge plus an optional queue-proportional
+  /// term modelling slow replies from busy servers (paper §3.2 profile).
+  SimDuration reply_delay(std::int32_t qlen) const {
+    SimDuration delay = config_.network.poll_reply_cpu;
     if (config_.network.poll_reply_scales_with_queue) {
-      reply_delay += config_.network.poll_reply_cpu * server.qlen;
+      delay += config_.network.poll_reply_cpu * qlen;
     }
-    const ServerLoad observation{target, server.qlen, engine_.now()};
-    ++result_.messages;  // reply
-    if (lose_msg()) return;  // reply sent, eaten in transit
-    engine_.schedule_after(
-        reply_delay + config_.network.poll_oneway,
-        [this, c, round, observation] {
-          core::Decision decision;
-          const core::ReplyOutcome outcome = clients_[c].dispatcher.poll_reply(
-              round, observation, engine_.now(), decision);
-          if (outcome == core::ReplyOutcome::kDiscarded) {
-            ++result_.polls_discarded;  // the round was already decided
-          } else if (outcome == core::ReplyOutcome::kDecided) {
-            finish_poll_round(decision);
-          }
-        });
+    return delay;
   }
+
+  /// The inquiry leg lands. Each target answers in target order, as one
+  /// event per inquiry would: the crash check, the reply count, then the
+  /// loss draw. The replies that land at one instant become one event.
+  void answer_polls(std::uint32_t leg) {
+    std::vector<ServerLoad>& loads = legs_[leg].loads;
+    std::size_t replies = 0;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+      const ServerId target = loads[i].server;
+      const Server& server = servers_[static_cast<std::size_t>(target)];
+      if (server.crashed) continue;  // nobody home to answer
+      ++result_.messages;  // reply
+      if (lose_msg()) continue;  // reply sent, eaten in transit
+      loads[replies++] = {target, server.qlen, engine_.now()};
+    }
+    loads.resize(replies);
+    if (replies == 0) {
+      release_leg(leg);
+      return;
+    }
+    // Stable insertion sort by reply delay: replies that land together
+    // stay in target order. Without queue-scaled replies every delay is
+    // equal and nothing moves.
+    for (std::size_t i = 1; i < replies; ++i) {
+      const ServerLoad reply = loads[i];
+      const SimDuration delay = reply_delay(reply.queue_length);
+      std::size_t j = i;
+      for (; j > 0 && reply_delay(loads[j - 1].queue_length) > delay; --j) {
+        loads[j] = loads[j - 1];
+      }
+      loads[j] = reply;
+    }
+    for (std::size_t begin = 0; begin < replies;) {
+      const SimDuration delay = reply_delay(loads[begin].queue_length);
+      std::size_t end = begin + 1;
+      while (end < replies && reply_delay(loads[end].queue_length) == delay) {
+        ++end;
+      }
+      schedule_after(delay + config_.network.poll_oneway,
+                     [this, leg, first = static_cast<std::uint32_t>(begin),
+                      last = static_cast<std::uint32_t>(end)] {
+                       receive_replies(leg, first, last);
+                     });
+      begin = end;
+    }
+  }
+
+  /// Replies [first, last) of a reply leg land, fed to the dispatcher in
+  /// target order. The leg's last instant frees it.
+  void receive_replies(std::uint32_t leg, std::uint32_t first,
+                       std::uint32_t last) {
+    // finish_poll_round() only dispatches; it never opens a round, so
+    // legs_ does not grow under this reference.
+    const PollLeg& replies = legs_[leg];
+    core::Dispatcher& dispatcher = clients_[replies.client].dispatcher;
+    for (std::uint32_t i = first; i < last; ++i) {
+      core::Decision decision;
+      const core::ReplyOutcome outcome = dispatcher.poll_reply(
+          replies.round, replies.loads[i], engine_.now(), decision);
+      if (outcome == core::ReplyOutcome::kDiscarded) {
+        ++result_.polls_discarded;  // the round was already decided
+      } else if (outcome == core::ReplyOutcome::kDecided) {
+        finish_poll_round(decision);
+      }
+    }
+    if (last == replies.loads.size()) release_leg(leg);
+  }
+
+  std::uint32_t acquire_leg(std::size_t c, core::RoundId round) {
+    if (free_legs_.empty()) {
+      free_legs_.push_back(static_cast<std::uint32_t>(legs_.size()));
+      legs_.emplace_back();
+    }
+    const std::uint32_t leg = free_legs_.back();
+    free_legs_.pop_back();
+    legs_[leg].client = c;
+    legs_[leg].round = round;
+    legs_[leg].loads.clear();
+    return leg;
+  }
+
+  void release_leg(std::uint32_t leg) { free_legs_.push_back(leg); }
 
   void finish_poll_round(const core::Decision& decision) {
     // Blind: every inquiry or reply was lost and the dispatcher picked
@@ -280,13 +394,13 @@ class Simulation {
     if (faults_enabled_) {
       // Failure detection is client-side only: whatever becomes of the
       // request, the access resolves by response or by timeout.
-      engine_.schedule_after(config_.faults.response_timeout,
-                             [this, index = job.index] { fail_job(index); });
+      schedule_after(config_.faults.response_timeout,
+                     [this, index = job.index] { fail_job(index); });
       if (lose_msg()) return;  // request eaten; server never sees it
     }
     ++server.committed;
-    engine_.schedule_after(config_.network.request_oneway,
-                           [this, job, target] { arrive(job, target); });
+    schedule_after(config_.network.request_oneway,
+                   [this, job, target] { arrive(job, target); });
   }
 
   void arrive(const Job& job, ServerId target) {
@@ -322,7 +436,7 @@ class Simulation {
     server.busy = true;
     const auto effective = static_cast<SimDuration>(
         static_cast<double>(job.service_time) / server.speed);
-    engine_.schedule_after(
+    schedule_after(
         effective, [this, job, target, effective, epoch = server.epoch] {
           complete_service(job, target, effective, epoch);
         });
@@ -340,8 +454,8 @@ class Simulation {
     maybe_start_next(target);
     ++result_.messages;  // response
     if (lose_msg()) return;  // response eaten; client times the access out
-    engine_.schedule_after(config_.network.request_oneway,
-                           [this, job] { receive_response(job); });
+    schedule_after(config_.network.request_oneway,
+                   [this, job] { receive_response(job); });
   }
 
   void receive_response(const Job& job) {
@@ -408,7 +522,7 @@ class Simulation {
             ? static_cast<SimDuration>(
                   servers_[s].rng.uniform(0.5 * mean, 1.5 * mean))
             : static_cast<SimDuration>(mean);
-    engine_.schedule_after(interval, [this, s] {
+    schedule_after(interval, [this, s] {
       // A crashed server announces nothing, but the timer keeps ticking so
       // announcements resume after a restart.
       if (!servers_[s].crashed) {
@@ -418,11 +532,10 @@ class Simulation {
         for (std::size_t c = 0; c < clients_.size(); ++c) {
           ++result_.messages;  // one delivery per listening client
           if (lose_msg()) continue;  // this client's copy was eaten
-          engine_.schedule_after(config_.network.broadcast_oneway,
-                                 [this, c, announcement] {
-                                   clients_[c].dispatcher.announce(
-                                       announcement);
-                                 });
+          schedule_after(config_.network.broadcast_oneway,
+                         [this, c, announcement] {
+                           clients_[c].dispatcher.announce(announcement);
+                         });
         }
       }
       schedule_broadcast(s);
@@ -436,6 +549,7 @@ class Simulation {
   }
 
   void finalize() {
+    result_.events = static_cast<std::int64_t>(engine_.events_processed());
     const double span = to_sec(engine_.now());
     if (span > 0.0) {
       double busy = 0.0;
@@ -452,6 +566,8 @@ class Simulation {
   std::vector<Server> servers_;
   std::vector<Client> clients_;
   std::vector<ServerLoad> oracle_loads_;  // IDEAL scratch, one per server
+  std::vector<PollLeg> legs_;             // poll legs in flight, pooled
+  std::vector<std::uint32_t> free_legs_;  // free entries of legs_
   std::int64_t generated_ = 0;
   std::int64_t resolved_count_ = 0;  // completed + failed
   bool faults_enabled_ = false;

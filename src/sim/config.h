@@ -137,6 +137,9 @@ struct SimResult {
   /// Total network messages (requests + responses + polls + replies +
   /// broadcast deliveries) — the scalability discussion in §2.4.
   std::int64_t messages = 0;
+  /// Engine events processed: the simulator's own cost per access. Not
+  /// part of the model's output, so the seeded-output digests leave it out.
+  std::int64_t events = 0;
   std::int64_t completed = 0;
 
   // --- decision quality (polling policy, post-warmup; exact) ---------------

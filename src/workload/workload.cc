@@ -71,16 +71,22 @@ Workload Workload::from_trace(Trace trace) {
   Workload w;
   w.name_ = trace.name();
   w.trace_ = std::make_shared<const Trace>(std::move(trace));
+  w.moments_ = std::make_shared<TraceMoments>();
   return w;
 }
 
+const TraceStats& Workload::trace_stats() const {
+  std::call_once(moments_->once, [this] { moments_->stats = trace_->stats(); });
+  return moments_->stats;
+}
+
 double Workload::mean_service_sec() const {
-  if (trace_) return trace_->stats().service_mean_ms / 1e3;
+  if (trace_) return trace_stats().service_mean_ms / 1e3;
   return service_->mean();
 }
 
 double Workload::mean_interval_sec() const {
-  if (trace_) return trace_->stats().arrival_mean_ms / 1e3;
+  if (trace_) return trace_stats().arrival_mean_ms / 1e3;
   return arrival_->mean();
 }
 

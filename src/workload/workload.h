@@ -11,6 +11,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "common/rng.h"
@@ -40,7 +41,8 @@ class Workload {
 
   const std::string& name() const { return name_; }
 
-  /// Mean service time in seconds.
+  /// Mean service time in seconds. A trace's moments are computed on the
+  /// first call and shared by every later one, from any thread.
   double mean_service_sec() const;
   /// Mean unscaled inter-arrival interval in seconds.
   double mean_interval_sec() const;
@@ -69,6 +71,15 @@ class Workload {
   DistributionPtr arrival_;
   DistributionPtr service_;
   std::shared_ptr<const Trace> trace_;
+
+  /// The trace's moments, computed once on first use: copies of the
+  /// workload share them, and from_trace() stays a pointer move.
+  struct TraceMoments {
+    std::once_flag once;
+    TraceStats stats;
+  };
+  const TraceStats& trace_stats() const;
+  std::shared_ptr<TraceMoments> moments_;
 };
 
 }  // namespace finelb

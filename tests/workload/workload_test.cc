@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <thread>
+#include <vector>
+
 #include "common/check.h"
 #include "stats/accumulator.h"
 #include "workload/catalog.h"
@@ -69,6 +74,26 @@ TEST(WorkloadTest, TraceSourceLoopsAndScales) {
         << "intervals must be doubled by the scale";
   }
   EXPECT_EQ(service_sum, 2 * (1 + 2) * kMillisecond);
+}
+
+TEST(WorkloadTest, TraceMomentsComputeOnceAcrossThreads) {
+  // A sweep shares one const Workload across its threads, and the first
+  // arrival_scale_for_load() calls race to compute the trace's moments.
+  // Every caller must see the value a lone serial call computes.
+  const double serial =
+      make_fine_grain(5'000, 3).arrival_scale_for_load(0.7, 16);
+  const Workload shared = make_fine_grain(5'000, 3);
+  std::vector<double> scales(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < scales.size(); ++t) {
+    threads.emplace_back(
+        [&, t] { scales[t] = shared.arrival_scale_for_load(0.7, 16); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const double scale : scales) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(scale),
+              std::bit_cast<std::uint64_t>(serial));
+  }
 }
 
 TEST(WorkloadTest, TraceSourceSeedRandomizesOffset) {
