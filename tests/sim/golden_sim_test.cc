@@ -139,5 +139,22 @@ TEST(GoldenSimTest, Polling3LossAndCrashRestart) {
   EXPECT_EQ(digest(r), "004cacf4cadd9c80");
 }
 
+TEST(GoldenSimTest, Polling3OutagePauseResume) {
+  // Two servers pause mid-run: arrivals keep queueing and polls keep seeing
+  // the growing queue; the resume starts the backlog again.
+  SimConfig c = config(PolicyConfig::polling(3));
+  c.outages = {{2, 5 * kSecond, 3 * kSecond}, {9, 12 * kSecond, 1 * kSecond}};
+  EXPECT_EQ(digest(run_cluster_sim(c, fine())), "847dcd9d3cd3f977");
+}
+
+TEST(GoldenSimTest, Polling3HeterogeneousSpeeds) {
+  // Four fast servers: service scales by speed, and utilization is the
+  // scaled busy time over the run.
+  SimConfig c = config(PolicyConfig::polling(3));
+  c.server_speeds.assign(16, 1.0);
+  for (int s = 0; s < 4; ++s) c.server_speeds[s] = 2.0;
+  EXPECT_EQ(digest(run_cluster_sim(c, fine())), "42732d383f8af549");
+}
+
 }  // namespace
 }  // namespace finelb::sim
