@@ -30,7 +30,8 @@ ServerNode::ServerNode(ServerOptions options)
       reply_rng_(options_.seed * 2654435761u + 17),
       broadcast_rng_(options_.seed * 40503u + 271) {
   FINELB_CHECK(options_.worker_threads >= 1, "need at least one worker");
-  slots_.resize(static_cast<std::size_t>(options_.worker_threads));
+  core_ = core::ServerCore<WorkItem>(
+      static_cast<std::size_t>(options_.worker_threads));
   service_socket_.set_buffer_sizes(1 << 21);
   load_socket_.set_buffer_sizes(1 << 21);
   service_socket_.attach_fault_injector(options_.fault);
@@ -146,8 +147,10 @@ void ServerNode::run_loop() {
 
 SimDuration ServerNode::next_wait(SimTime now) const {
   SimTime earliest = now + kIdleWait;
-  for (const Slot& slot : slots_) {
-    if (slot.busy) earliest = std::min(earliest, slot.deadline);
+  for (std::size_t unit = 0; unit < core_.units(); ++unit) {
+    if (core_.busy(unit)) {
+      earliest = std::min(earliest, core_.job(unit).deadline);
+    }
   }
   for (const DelayedReply& d : delayed_) earliest = std::min(earliest, d.due);
   if (publish_enabled_) earliest = std::min(earliest, next_publish_);
@@ -171,61 +174,53 @@ void ServerNode::drain_service_socket() {
       }
       item.reply_to = request_batch_.address(i);
       item.enqueued_at = net::monotonic_now();
-      // Load index covers queued + in-service accesses: increment on
-      // acceptance, decrement after the response is sent (finish_service).
-      item.queue_at_arrival = qlen_.fetch_add(1, std::memory_order_relaxed);
-      const std::int32_t now_len = item.queue_at_arrival + 1;
-      if (now_len > max_qlen_.load(std::memory_order_relaxed)) {
-        max_qlen_.store(now_len, std::memory_order_relaxed);
-      }
-      fifo_.push_back(item);
+      // The load index counts the request from acceptance until its
+      // response is sent (finish_service).
+      core_.arrive(item);
+      qlen_.store(core_.queue_length(), std::memory_order_relaxed);
+      max_qlen_.store(core_.max_queue_length(), std::memory_order_relaxed);
     }
   } while (n == request_batch_.capacity());
 }
 
 void ServerNode::run_slots() {
   const SimTime now = net::monotonic_now();
-  for (Slot& slot : slots_) {
-    if (slot.busy && slot.deadline <= now) finish_service(slot);
-    // A zero-length service finishes at once; keep the slot turning.
-    while (!slot.busy && fifo_head_ < fifo_.size()) {
-      start_service(slot);
-      if (slot.deadline <= net::monotonic_now()) finish_service(slot);
+  for (std::size_t unit = 0; unit < core_.units(); ++unit) {
+    if (core_.busy(unit) && core_.job(unit).deadline <= now) {
+      finish_service(unit);
+    }
+    // A zero-length service finishes at once; keep the unit turning.
+    while (core_.start(unit)) {
+      start_service(core_.job(unit));
+      if (core_.job(unit).deadline <= net::monotonic_now()) {
+        finish_service(unit);
+      }
     }
   }
 }
 
-void ServerNode::start_service(Slot& slot) {
-  slot.item = fifo_[fifo_head_++];
-  // Drop the consumed prefix once it is half the vector (all of it when
-  // the queue empties): amortised O(1) per request, no allocation, and
-  // capacity stays bounded by the longest backlog.
-  if (2 * fifo_head_ >= fifo_.size()) {
-    fifo_.erase(fifo_.begin(),
-                fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
-    fifo_head_ = 0;
-  }
-  const WorkItem& item = slot.item;
-  slot.busy = true;
-  slot.start = net::monotonic_now();
-  const SimDuration queue_wait = slot.start - item.enqueued_at;
+void ServerNode::start_service(WorkItem& item) {
+  item.start = net::monotonic_now();
+  const SimDuration queue_wait = item.start - item.enqueued_at;
   m_queue_wait_ms_.record(static_cast<double>(queue_wait) / 1e6);
   // A wire trace_id means the issuing client sampled this request: record
   // it whenever the ring is live. Requests without propagated context
   // fall back to this node's own sampling period.
-  slot.traced = (item.request.trace_id != 0 && trace_.active()) ||
+  item.traced = (item.request.trace_id != 0 && trace_.active()) ||
                 trace_.sampled(item.request.request_id);
-  if (slot.traced) {
+  if (item.traced) {
     trace_.record(item.request.request_id,
                   telemetry::TracePoint::kServiceStart, options_.id,
-                  slot.start, queue_wait);
+                  item.start, queue_wait);
   }
-  slot.deadline = slot.start + static_cast<SimDuration>(
-                                   item.request.service_us) * kMicrosecond;
+  item.deadline =
+      item.start +
+      static_cast<SimDuration>(item.request.service_us) * kMicrosecond;
 }
 
-void ServerNode::finish_service(Slot& slot) {
-  const WorkItem& item = slot.item;
+void ServerNode::finish_service(std::size_t unit) {
+  const WorkItem& item = core_.job(unit);
+  const std::int32_t queue_at_arrival = core_.queue_at_arrival(unit);
   // Count the service before its response leaves, so a client holding the
   // response can never read a served count that misses it. Telemetry
   // first: anyone polling counters() for completion then scraping the
@@ -235,7 +230,7 @@ void ServerNode::finish_service(Slot& slot) {
   net::ServiceResponse response;
   response.request_id = item.request.request_id;
   response.server = options_.id;
-  response.queue_at_arrival = item.queue_at_arrival;
+  response.queue_at_arrival = queue_at_arrival;
   response.trace_id = item.request.trace_id;
   if (item.request.trace_id != 0) {
     response.server_ns = net::monotonic_now();
@@ -246,13 +241,13 @@ void ServerNode::finish_service(Slot& slot) {
     count_send_failures(1);
   }
   const SimTime done = net::monotonic_now();
-  m_service_time_ms_.record(static_cast<double>(done - slot.start) / 1e6);
-  if (slot.traced) {
+  m_service_time_ms_.record(static_cast<double>(done - item.start) / 1e6);
+  if (item.traced) {
     trace_.record(item.request.request_id, telemetry::TracePoint::kResponse,
-                  options_.id, done, item.queue_at_arrival);
+                  options_.id, done, queue_at_arrival);
   }
-  slot.busy = false;
-  qlen_.fetch_sub(1, std::memory_order_relaxed);
+  core_.finish(unit);
+  qlen_.store(core_.queue_length(), std::memory_order_relaxed);
 }
 
 void ServerNode::send_reply(std::uint64_t seq, std::uint64_t trace_id,
@@ -261,7 +256,7 @@ void ServerNode::send_reply(std::uint64_t seq, std::uint64_t trace_id,
   reply.seq = seq;
   // Queue length at *reply* time: the paper's slow replies carry stale
   // indexes precisely because the queue moved while they waited.
-  reply.queue_length = qlen_.load(std::memory_order_relaxed);
+  reply.queue_length = core_.queue_length();
   reply.trace_id = trace_id;
   reply.origin_ns = origin_ns;
   reply.server_ns = net::monotonic_now();
@@ -308,7 +303,7 @@ void ServerNode::drain_load_socket() {
         }
         continue;
       }
-      const std::int32_t qlen = qlen_.load(std::memory_order_relaxed);
+      const std::int32_t qlen = core_.queue_length();
       if (options_.inject_busy_reply_delay && qlen > 0) {
         // Scheduler-contention stand-in (see header comment): rare long
         // stall or short heavy-tailed stack delay.
@@ -391,7 +386,7 @@ void ServerNode::publish(SimTime now) {
 void ServerNode::broadcast(SimTime now) {
   net::LoadAnnounce announcement;
   announcement.server = options_.id;
-  announcement.queue_length = qlen_.load(std::memory_order_relaxed);
+  announcement.queue_length = core_.queue_length();
   std::array<std::uint8_t, net::kMaxFixedMsgSize> buf;
   const std::size_t n = announcement.encode_into(buf);
   announce_socket_.send_to({buf.data(), n}, broadcast_channel_);

@@ -17,9 +17,14 @@
 // broadcast, and answers whatever arrived in between. No request crosses a
 // thread, and stop() wakes the loop instead of waiting out a poll slice.
 //
-// The queue length ("total number of active service accesses") increments
-// when a request datagram is accepted and decrements after its response is
-// sent, so it covers both queued and in-service accesses.
+// The queue model is core::ServerCore (core/server_core.h), the one the
+// simulator drives too: its FIFO, its service units and its queue length
+// ("total number of active service accesses", queued plus in service). The
+// node accepts a request into it when the datagram is decoded and finishes
+// the request's unit after its response is sent. The node keeps the rest:
+// sockets, slot deadlines, tracing, the busy-reply delay model and
+// telemetry, and an atomic mirror of the queue length for readers on other
+// threads.
 //
 // Busy-reply delay model: on the paper's cluster, a server whose CPUs were
 // saturated by service work answered UDP load inquiries late (§3.2: 8.1% of
@@ -49,6 +54,7 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "core/load_index.h"
+#include "core/server_core.h"
 #include "fault/fault.h"
 #include "net/message.h"
 #include "net/socket.h"
@@ -159,18 +165,13 @@ class ServerNode {
   std::string stats_json() const;
 
  private:
+  /// A request in core_; once a unit starts it, the unit is occupied
+  /// from `start` until `deadline`.
   struct WorkItem {
     net::ServiceRequest request;
     net::Address reply_to;
-    std::int32_t queue_at_arrival = 0;
     SimTime enqueued_at = 0;
-  };
-
-  /// One emulated processing unit, occupied by `item` until `deadline`.
-  struct Slot {
-    bool busy = false;
     bool traced = false;
-    WorkItem item;
     SimTime start = 0;
     SimTime deadline = 0;
   };
@@ -193,10 +194,10 @@ class ServerNode {
   SimDuration next_wait(SimTime now) const;
   void drain_service_socket();
   void drain_load_socket();
-  /// Completes due slots and starts queued requests on idle ones.
+  /// Completes due services and starts queued requests on idle units.
   void run_slots();
-  void start_service(Slot& slot);
-  void finish_service(Slot& slot);
+  void start_service(WorkItem& item);
+  void finish_service(std::size_t unit);
   void send_due_replies(SimTime now);
   void send_reply(std::uint64_t seq, std::uint64_t trace_id,
                   std::int64_t origin_ns, const net::Address& to);
@@ -214,10 +215,12 @@ class ServerNode {
 
   bool started_ = false;  // single-shot lifecycle: start() once, ever
   std::atomic<bool> running_{false};
+  // Mirrors of core_.queue_length() and core_.max_queue_length(), stored
+  // after each change, for readers on other threads.
   std::atomic<std::int32_t> qlen_{0};
+  std::atomic<std::int32_t> max_qlen_{0};
   std::atomic<std::int64_t> served_{0};
   std::atomic<std::int64_t> inquiries_{0};
-  std::atomic<std::int32_t> max_qlen_{0};
   std::atomic<std::int64_t> send_failures_{0};
 
   // Telemetry: counters/histograms are handles into metrics_ (created once
@@ -232,13 +235,8 @@ class ServerNode {
   telemetry::Histogram m_service_time_ms_;
   telemetry::Histogram m_queue_wait_ms_;
 
-  // Event-loop state, touched only by the loop thread. The FIFO is a
-  // vector read from fifo_head_ whose consumed prefix is dropped in place
-  // (start_service), so its capacity is reused and steady-state service
-  // never allocates.
-  std::vector<WorkItem> fifo_;
-  std::size_t fifo_head_ = 0;
-  std::vector<Slot> slots_;
+  // Event-loop state, touched only by the loop thread.
+  core::ServerCore<WorkItem> core_;
   std::vector<DelayedReply> delayed_;
   net::DatagramBatch request_batch_{32, 256};
   // Inquiry bursts arrive d-at-a-time (every polling client fans out d

@@ -4,7 +4,10 @@
 // client streams generating requests from the workload, and per client a
 // core::Dispatcher that decides the target server per request. This file is
 // the dispatcher's virtual-time driver: it turns the dispatcher's actions
-// into simulated message events and feeds their outcomes back in.
+// into simulated message events and feeds their outcomes back in. It drives
+// each server's core::ServerCore the same way: the core holds the FIFO,
+// the unit and the queue length; this file keeps time, speed scaling, the
+// outage pause, the crash epoch and the IDEAL oracle's commitments.
 //
 // Timing model per request (client-observed response time):
 //   generated -> [policy: 0 for random/rr/ideal/broadcast, poll RTT for
@@ -21,8 +24,8 @@
 // back for one instant hold consecutive seqs, so nothing else could fire
 // between them, and the batch runs them in the same order with every loss
 // draw at the same point.
+#include <algorithm>
 #include <cstddef>
-#include <deque>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -30,6 +33,7 @@
 
 #include "common/check.h"
 #include "core/dispatcher.h"
+#include "core/server_core.h"
 #include "sim/config.h"
 #include "sim/engine.h"
 
@@ -146,17 +150,20 @@ class Simulation {
   }
 
  private:
+  /// The queue model is core::ServerCore with one unit; the driver keeps
+  /// what only the simulation has: speed, the outage gate, crashes and the
+  /// IDEAL oracle's commitments.
   struct Server {
-    std::deque<Job> waiting;
+    core::ServerCore<Job> core;
     double speed = 1.0;
+    /// Outage: the unit starts nothing new while paused.
     bool paused = false;
-    bool busy = false;
     bool crashed = false;
     /// Bumped on every crash; a completion event from a pre-crash service
     /// is stale and must not touch the rebuilt server state.
     std::uint64_t epoch = 0;
-    std::int32_t qlen = 0;       // waiting + in service
-    std::int32_t committed = 0;  // qlen + dispatched-but-not-completed
+    /// Queue length + dispatched-but-not-arrived.
+    std::int32_t committed = 0;
     SimDuration busy_time = 0;
     Rng rng;
   };
@@ -285,7 +292,7 @@ class Simulation {
       if (server.crashed) continue;  // nobody home to answer
       ++result_.messages;  // reply
       if (lose_msg()) continue;  // reply sent, eaten in transit
-      loads[replies++] = {target, server.qlen, engine_.now()};
+      loads[replies++] = {target, server.core.queue_length(), engine_.now()};
     }
     loads.resize(replies);
     if (replies == 0) {
@@ -374,12 +381,13 @@ class Simulation {
   void record_decision_quality(ServerId chosen, bool blind) {
     ++result_.decisions;
     if (blind) ++result_.decision_blind_fallbacks;
-    std::int32_t best = servers_[static_cast<std::size_t>(chosen)].qlen;
+    const std::int32_t chosen_qlen =
+        servers_[static_cast<std::size_t>(chosen)].core.queue_length();
+    std::int32_t best = chosen_qlen;
     for (const Server& server : servers_) {
-      if (!server.crashed && server.qlen < best) best = server.qlen;
+      if (!server.crashed) best = std::min(best, server.core.queue_length());
     }
-    const std::int64_t regret =
-        servers_[static_cast<std::size_t>(chosen)].qlen - best;
+    const std::int64_t regret = chosen_qlen - best;
     if (regret > 0) {
       ++result_.decision_mistakes;
       result_.decision_regret_total += regret;
@@ -411,29 +419,16 @@ class Simulation {
       --server.committed;
       return;
     }
-    if (should_record(job)) {
-      result_.queue_on_arrival.add(server.qlen);
-    }
-    ++server.qlen;
-    if (server.busy || server.paused) {
-      server.waiting.push_back(job);
-    } else {
-      begin_service(job, target);
-    }
+    const std::int32_t found = server.core.arrive(job);
+    if (should_record(job)) result_.queue_on_arrival.add(found);
+    maybe_start_next(target);
   }
 
-  /// Starts the next waiting job if the unit is free and not paused.
+  /// Starts the oldest waiting job if the unit is free and not paused.
   void maybe_start_next(ServerId target) {
     Server& server = servers_[static_cast<std::size_t>(target)];
-    if (server.busy || server.paused || server.waiting.empty()) return;
-    const Job next = server.waiting.front();
-    server.waiting.pop_front();
-    begin_service(next, target);
-  }
-
-  void begin_service(const Job& job, ServerId target) {
-    Server& server = servers_[static_cast<std::size_t>(target)];
-    server.busy = true;
+    if (server.paused || !server.core.start(0)) return;
+    const Job& job = server.core.job(0);
     const auto effective = static_cast<SimDuration>(
         static_cast<double>(job.service_time) / server.speed);
     schedule_after(
@@ -447,9 +442,8 @@ class Simulation {
     Server& server = servers_[static_cast<std::size_t>(target)];
     if (server.epoch != epoch) return;  // server crashed mid-service
     server.busy_time += effective;
-    --server.qlen;
+    server.core.finish(0);
     --server.committed;
-    server.busy = false;
     ++result_.per_server_served[static_cast<std::size_t>(target)];
     maybe_start_next(target);
     ++result_.messages;  // response
@@ -507,10 +501,7 @@ class Simulation {
     // Queued and in-service accesses vanish; their clients discover the
     // failure by timeout. The committed count keeps only in-transit jobs
     // (they hand their slot back on arrival at the dead port).
-    server.committed -= server.qlen;
-    server.qlen = 0;
-    server.waiting.clear();
-    server.busy = false;
+    server.committed -= server.core.clear();
   }
 
   // --- broadcast policy ------------------------------------------------------
@@ -528,7 +519,8 @@ class Simulation {
       if (!servers_[s].crashed) {
         ++result_.broadcasts_sent;
         const ServerLoad announcement{static_cast<ServerId>(s),
-                                      servers_[s].qlen, engine_.now()};
+                                      servers_[s].core.queue_length(),
+                                      engine_.now()};
         for (std::size_t c = 0; c < clients_.size(); ++c) {
           ++result_.messages;  // one delivery per listening client
           if (lose_msg()) continue;  // this client's copy was eaten
