@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "cluster/directory.h"
 #include "net/clock.h"
+#include "net/codec.h"
 #include "neptune/service_client.h"
 #include "neptune/service_node.h"
 #include "stats/accumulator.h"
@@ -48,17 +49,28 @@ std::uint64_t word_id(const std::string& word) {
   return h;
 }
 
-/// args: '\n'-separated words; result: 8 bytes (little-endian id) per word.
+/// TRANSLATE's result payload: one id per requested word, in request order.
+struct Translation : net::Message<Translation> {
+  static constexpr std::uint8_t kType = 1;
+  std::vector<std::uint64_t> ids;
+
+  template <class Self, class V>
+  static void fields(Self& m, V& v) {
+    v(m.ids);
+  }
+};
+
+/// args: '\n'-separated words; result: an encoded Translation.
 std::vector<std::uint8_t> translate_handler(
     std::uint32_t partition, std::span<const std::uint8_t> args) {
-  net::Writer out;
+  Translation out;
   std::string word;
   const auto flush = [&] {
     if (word.empty()) return;
     if (partition_of(word) != partition) {
       throw std::runtime_error("word routed to wrong partition: " + word);
     }
-    out.u64(word_id(word));
+    out.ids.push_back(word_id(word));
     word.clear();
   };
   for (const std::uint8_t c : args) {
@@ -69,7 +81,7 @@ std::vector<std::uint8_t> translate_handler(
     }
   }
   flush();
-  return std::move(out).take();
+  return out.encode();
 }
 
 std::unique_ptr<neptune::ServiceNode> make_node(
@@ -140,10 +152,15 @@ int main(int argc, char** argv) {
         continue;
       }
       latency_ms.add(to_ms(result.latency));
-      net::Reader reader(result.data);
-      for (const auto& word : batch[partition]) {
+      Translation translation;
+      if (!Translation::try_decode(result.data, translation) ||
+          translation.ids.size() != batch[partition].size()) {
+        ++mismatches;
+        continue;
+      }
+      for (std::size_t i = 0; i < translation.ids.size(); ++i) {
         ++words_translated;
-        if (reader.u64() != word_id(word)) ++mismatches;
+        if (translation.ids[i] != word_id(batch[partition][i])) ++mismatches;
       }
     }
   }

@@ -2,13 +2,23 @@
 
 #include <gtest/gtest.h>
 
-#include "common/check.h"
+#include <array>
+#include <string>
+#include <vector>
 
 namespace finelb::net {
 namespace {
 
+/// The bytes a SpanWriter wrote into `buf`, once every write fitted.
+std::span<const std::uint8_t> written(const SpanWriter& w,
+                                      std::span<const std::uint8_t> buf) {
+  EXPECT_TRUE(w.ok());
+  return buf.first(w.size());
+}
+
 TEST(WireTest, ScalarRoundTrip) {
-  Writer w;
+  std::array<std::uint8_t, 64> buf{};
+  SpanWriter w(buf);
   w.u8(0xab);
   w.u16(0x1234);
   w.u32(0xdeadbeef);
@@ -16,20 +26,22 @@ TEST(WireTest, ScalarRoundTrip) {
   w.i32(-42);
   w.i64(-9'000'000'000ll);
 
-  Reader r(w.bytes());
+  TryReader r(written(w, buf));
   EXPECT_EQ(r.u8(), 0xab);
   EXPECT_EQ(r.u16(), 0x1234);
   EXPECT_EQ(r.u32(), 0xdeadbeefu);
   EXPECT_EQ(r.u64(), 0x0123456789abcdefull);
   EXPECT_EQ(r.i32(), -42);
   EXPECT_EQ(r.i64(), -9'000'000'000ll);
+  EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.done());
 }
 
 TEST(WireTest, LittleEndianLayout) {
-  Writer w;
+  std::array<std::uint8_t, 8> buf{};
+  SpanWriter w(buf);
   w.u32(0x01020304);
-  const auto bytes = w.bytes();
+  const auto bytes = written(w, buf);
   ASSERT_EQ(bytes.size(), 4u);
   EXPECT_EQ(bytes[0], 0x04);
   EXPECT_EQ(bytes[1], 0x03);
@@ -38,81 +50,115 @@ TEST(WireTest, LittleEndianLayout) {
 }
 
 TEST(WireTest, StringRoundTrip) {
-  Writer w;
+  std::array<std::uint8_t, 64> buf{};
+  SpanWriter w(buf);
   w.str("image-store");
   w.str("");  // empty string is valid
-  Reader r(w.bytes());
-  EXPECT_EQ(r.str(), "image-store");
-  EXPECT_EQ(r.str(), "");
+  TryReader r(written(w, buf));
+  std::string first = "stale";
+  std::string second = "stale";
+  r.str(first);
+  r.str(second);
+  EXPECT_EQ(first, "image-store");
+  EXPECT_EQ(second, "");
+  EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.done());
 }
 
-TEST(WireTest, TruncatedFieldThrows) {
-  Writer w;
+TEST(WireTest, TruncatedFieldRejected) {
+  std::array<std::uint8_t, 4> buf{};
+  SpanWriter w(buf);
   w.u32(7);
-  const auto bytes = w.bytes();
-  Reader r(bytes.subspan(0, 3));
-  EXPECT_THROW(r.u32(), InvariantError);
+  TryReader r(written(w, buf).first(3));
+  EXPECT_EQ(r.u32(), 0u);
+  EXPECT_FALSE(r.ok());
+  // The failure latches: a later field that would fit is not read either.
+  TryReader latched(written(w, buf).first(3));
+  latched.u32();
+  EXPECT_EQ(latched.u8(), 0u);
+  EXPECT_FALSE(latched.ok());
 }
 
-TEST(WireTest, TruncatedStringThrows) {
-  Writer w;
+TEST(WireTest, TruncatedStringRejected) {
+  std::array<std::uint8_t, 16> buf{};
+  SpanWriter w(buf);
   w.str("hello");
-  const auto bytes = w.bytes();
-  Reader r(bytes.subspan(0, 4));  // length says 5 but only 2 bytes follow
-  EXPECT_THROW(r.str(), InvariantError);
+  // The length says 5 but only 2 bytes follow.
+  TryReader r(written(w, buf).first(4));
+  std::string out = "stale";
+  r.str(out);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(WireTest, RemainingTracksConsumption) {
-  Writer w;
+  std::array<std::uint8_t, 4> buf{};
+  SpanWriter w(buf);
   w.u16(1);
   w.u16(2);
-  Reader r(w.bytes());
+  TryReader r(written(w, buf));
   EXPECT_EQ(r.remaining(), 4u);
   r.u16();
   EXPECT_EQ(r.remaining(), 2u);
   EXPECT_FALSE(r.done());
   r.u16();
   EXPECT_TRUE(r.done());
+  EXPECT_TRUE(r.ok());
 }
 
-TEST(WireTest, EmptyReaderThrowsOnRead) {
-  Reader r({});
-  EXPECT_THROW(r.u8(), InvariantError);
+TEST(WireTest, EmptyReaderRejectsRead) {
+  TryReader r({});
+  EXPECT_EQ(r.u8(), 0u);
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(WireTest, BlobRoundTrip) {
-  Writer w;
+  std::array<std::uint8_t, 64> buf{};
+  SpanWriter w(buf);
   const std::vector<std::uint8_t> payload = {0, 255, 7, 0, 42};
   w.blob(payload);
   w.blob({});  // empty blob is valid
-  Reader r(w.bytes());
-  EXPECT_EQ(r.blob(), payload);
-  EXPECT_TRUE(r.blob().empty());
+  TryReader r(written(w, buf));
+  std::vector<std::uint8_t> first;
+  std::vector<std::uint8_t> second = {9};
+  r.blob(first);
+  r.blob(second);
+  EXPECT_EQ(first, payload);
+  EXPECT_TRUE(second.empty());
+  EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.done());
 }
 
-TEST(WireTest, TruncatedBlobThrows) {
-  Writer w;
+TEST(WireTest, TruncatedBlobRejected) {
+  std::array<std::uint8_t, 16> buf{};
+  SpanWriter w(buf);
   w.blob(std::vector<std::uint8_t>{1, 2, 3, 4});
-  const auto bytes = w.bytes();
+  const auto bytes = written(w, buf);
   // Cut inside the payload: length prefix says 4 but only 2 bytes follow.
-  Reader r(bytes.subspan(0, 6));
-  EXPECT_THROW(r.blob(), InvariantError);
+  TryReader r(bytes.first(6));
+  std::vector<std::uint8_t> out = {9};
+  r.blob(out);
+  EXPECT_FALSE(r.ok());
+  EXPECT_TRUE(out.empty());
   // Cut inside the length prefix itself.
-  Reader r2(bytes.subspan(0, 2));
-  EXPECT_THROW(r2.blob(), InvariantError);
+  TryReader r2(bytes.first(2));
+  r2.blob(out);
+  EXPECT_FALSE(r2.ok());
 }
 
 TEST(WireTest, LargeBlobPreserved) {
-  Writer w;
   std::vector<std::uint8_t> big(60 * 1024);
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<std::uint8_t>(i * 131);
   }
+  std::vector<std::uint8_t> buf(4 + big.size());
+  SpanWriter w(buf);
   w.blob(big);
-  Reader r(w.bytes());
-  EXPECT_EQ(r.blob(), big);
+  TryReader r(written(w, buf));
+  std::vector<std::uint8_t> out;
+  r.blob(out);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(out, big);
 }
 
 }  // namespace
