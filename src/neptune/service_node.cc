@@ -66,6 +66,7 @@ void ServiceNode::start() {
 
 void ServiceNode::stop() {
   if (!running_.exchange(false)) return;
+  waker_.wake();
   queue_.close();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
@@ -84,6 +85,9 @@ net::Address ServiceNode::load_address() const {
 void ServiceNode::service_recv_loop() {
   net::Poller poller;
   poller.add(service_socket_.fd(), 0);
+  // After stop() the wait returns at once, the empty drain below is
+  // harmless, and the loop condition then exits.
+  poller.add(waker_.fd(), 1);
   const std::span<std::uint8_t> buf = net::thread_scratch(64 * 1024);
   while (running_.load(std::memory_order_relaxed)) {
     if (poller.wait(50 * kMillisecond).empty()) continue;
@@ -104,6 +108,7 @@ void ServiceNode::service_recv_loop() {
 void ServiceNode::load_recv_loop() {
   net::Poller poller;
   poller.add(load_socket_.fd(), 0);
+  poller.add(waker_.fd(), 1);  // as in service_recv_loop
   // Inquiries arrive in bursts (each polling client fans out d at once):
   // drain and answer them batched, encoding replies straight into the
   // send batch's slots.
@@ -254,15 +259,18 @@ void ServiceNode::publish_loop() {
     announcement.ttl_ms = static_cast<std::uint32_t>(to_ms(publish_ttl_));
     payloads.push_back(announcement.encode());
   }
+  net::Poller poller;
+  poller.add(waker_.fd(), 0);
   while (running_.load(std::memory_order_relaxed)) {
     for (const auto& payload : payloads) {
       publish_socket.send_to(payload, directory_);
     }
-    const SimTime until = net::monotonic_now() + publish_interval_;
-    while (running_.load(std::memory_order_relaxed) &&
-           net::monotonic_now() < until) {
-      net::sleep_for(std::min<SimDuration>(publish_interval_,
-                                           20 * kMillisecond));
+    // Sleep to the exact deadline; stop() ends the wait at once.
+    const SimTime next = net::monotonic_now() + publish_interval_;
+    for (SimTime now = net::monotonic_now();
+         now < next && running_.load(std::memory_order_relaxed);
+         now = net::monotonic_now()) {
+      poller.wait(next - now);
     }
   }
 }

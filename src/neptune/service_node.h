@@ -26,6 +26,7 @@
 #include "cluster/blocking_queue.h"
 #include "core/load_index.h"
 #include "net/socket.h"
+#include "net/waker.h"
 #include "neptune/rpc.h"
 #include "telemetry/metrics.h"
 
@@ -99,6 +100,9 @@ class ServiceNode {
   std::map<std::uint16_t, MethodHandler> methods_;
   net::UdpSocket service_socket_;
   net::UdpSocket load_socket_;
+  // Readable once stop() runs: ends the receive loops' and the publish
+  // loop's waits at once.
+  net::Waker waker_;
 
   bool started_ = false;
   std::atomic<bool> running_{false};

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "cluster/stop_latency.h"
 #include "codec_test_util.h"
 #include "common/check.h"
 #include "net/clock.h"
@@ -222,6 +223,18 @@ TEST(ServiceNodeTest, MalformedDatagramIgnored) {
   net::sleep_for(30 * kMillisecond);
   EXPECT_EQ(node->queue_length(), 0);
   node->stop();
+}
+
+TEST(ServiceNodeTest, StopWakesAnIdleLoopAtOnce) {
+  // Publishing on too: the receive loops and the publish loop all wait on
+  // the stop waker, so none of them sits out a sleep slice.
+  net::UdpSocket directory;
+  const SimDuration fastest = cluster::fastest_idle_stop([&directory] {
+    auto node = make_echo_node();
+    node->enable_publishing(directory.local_address(), kSecond, 2 * kSecond);
+    return node;
+  });
+  EXPECT_LT(fastest, 20 * kMillisecond);
 }
 
 }  // namespace
