@@ -1,5 +1,6 @@
-// Bounded-unbounded MPMC blocking queue between a receive thread and a
-// worker thread pool.
+// Unbounded MPMC blocking queue between a receive thread and a worker
+// thread pool: push, blocking pop and close — all Neptune's ServiceNode
+// needs.
 //
 // The paper's server node keeps "a service queue and a worker thread pool";
 // Neptune's ServiceNode, whose workers run real handlers, uses this queue
@@ -23,17 +24,6 @@
 #include <vector>
 
 namespace finelb::cluster {
-
-/// Outcome of a non-blocking pop. Distinguishing kEmpty from kClosed
-/// matters for poll-style workers: "nothing right now, spin again" versus
-/// "the queue is shut down and drained, exit the loop". The old
-/// optional-returning try_pop conflated the two, so a worker that relied on
-/// it alone could never observe shutdown.
-enum class PopResult {
-  kItem,    ///< an item was dequeued into `out`
-  kEmpty,   ///< nothing queued right now (queue still open, or not drained)
-  kClosed,  ///< closed and fully drained; no item will ever arrive again
-};
 
 template <class T>
 class BlockingQueue {
@@ -59,25 +49,6 @@ class BlockingQueue {
     return pop_front_locked();
   }
 
-  /// Non-blocking pop into `out`. Returns kItem when an item was dequeued,
-  /// kEmpty when the queue is open but momentarily empty (or closed with
-  /// items still draining elsewhere is impossible — drained is drained),
-  /// and kClosed once the queue is closed and drained. Lets a worker
-  /// opportunistically drain a burst without bouncing through the condition
-  /// variable per item, while still observing shutdown.
-  PopResult try_pop(T& out) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (count_ == 0) return closed_ ? PopResult::kClosed : PopResult::kEmpty;
-    out = pop_front_locked();
-    return PopResult::kItem;
-  }
-
-  /// True once close() has been called (items may still be queued).
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
   /// Closes the queue; queued items can still be popped.
   void close() {
     {
@@ -85,11 +56,6 @@ class BlockingQueue {
       closed_ = true;
     }
     cv_.notify_all();
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return count_;
   }
 
  private:
@@ -110,7 +76,7 @@ class BlockingQueue {
     head_ = 0;
   }
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<T> ring_;     // power-of-two capacity; index masked
   std::size_t head_ = 0;    // index of the front item

@@ -14,7 +14,6 @@ TEST(BlockingQueueTest, FifoOrder) {
   q.push(1);
   q.push(2);
   q.push(3);
-  EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.pop(), 1);
   EXPECT_EQ(q.pop(), 2);
   EXPECT_EQ(q.pop(), 3);
@@ -78,71 +77,18 @@ TEST(BlockingQueueTest, MoveOnlyPayload) {
   EXPECT_EQ(**item, 5);
 }
 
-TEST(BlockingQueueTest, TryPopNeverBlocks) {
-  BlockingQueue<int> q;
-  int v = 0;
-  EXPECT_EQ(q.try_pop(v), PopResult::kEmpty);  // empty: returns immediately
-  q.push(1);
-  q.push(2);
-  EXPECT_EQ(q.try_pop(v), PopResult::kItem);
-  EXPECT_EQ(v, 1);  // FIFO, same as pop()
-  EXPECT_EQ(q.try_pop(v), PopResult::kItem);
-  EXPECT_EQ(v, 2);
-  EXPECT_EQ(q.try_pop(v), PopResult::kEmpty);
-}
-
-TEST(BlockingQueueTest, TryPopDrainsAfterClose) {
-  // Workers use try_pop as the burst fast path; items queued before close()
-  // must still drain through it, and once drained the result must be
-  // kClosed, not kEmpty — a worker relying on try_pop alone has to be able
-  // to observe shutdown (the old optional API lost that signal).
-  BlockingQueue<int> q;
-  q.push(7);
-  q.close();
-  int v = 0;
-  EXPECT_EQ(q.try_pop(v), PopResult::kItem);
-  EXPECT_EQ(v, 7);
-  EXPECT_EQ(q.try_pop(v), PopResult::kClosed);
-  EXPECT_FALSE(q.pop().has_value());  // closed and drained
-}
-
-TEST(BlockingQueueTest, ClosedObservable) {
-  BlockingQueue<int> q;
-  EXPECT_FALSE(q.closed());
-  q.push(1);
-  q.close();
-  EXPECT_TRUE(q.closed());  // closed even while items remain queued
-  int v = 0;
-  EXPECT_EQ(q.try_pop(v), PopResult::kItem);
-  EXPECT_EQ(q.try_pop(v), PopResult::kClosed);
-}
-
-TEST(BlockingQueueTest, TryPopMoveOnlyPayload) {
-  BlockingQueue<std::unique_ptr<int>> q;
-  q.push(std::make_unique<int>(9));
-  std::unique_ptr<int> item;
-  EXPECT_EQ(q.try_pop(item), PopResult::kItem);
-  ASSERT_TRUE(item != nullptr);
-  EXPECT_EQ(*item, 9);
-}
-
 TEST(BlockingQueueTest, RingGrowthPreservesFifoAcrossWrap) {
   // Force the ring to wrap and regrow with a live head offset: interleave
   // pushes and pops past the initial capacity, then grow mid-wrap.
   BlockingQueue<int> q;
   int next_push = 0;
   int next_pop = 0;
-  int v = 0;
   for (int round = 0; round < 200; ++round) {
     for (int i = 0; i < 7; ++i) q.push(next_push++);
-    for (int i = 0; i < 5; ++i) {
-      ASSERT_EQ(q.try_pop(v), PopResult::kItem);
-      ASSERT_EQ(v, next_pop++);
-    }
+    for (int i = 0; i < 5; ++i) ASSERT_EQ(q.pop(), next_pop++);
   }
-  while (q.try_pop(v) == PopResult::kItem) {
-    ASSERT_EQ(v, next_pop++);
-  }
+  q.close();
+  while (auto v = q.pop()) ASSERT_EQ(*v, next_pop++);
   EXPECT_EQ(next_pop, next_push);
 }
 
