@@ -290,7 +290,12 @@ void ServerNode::drain_load_socket() {
         // polling fast path).
         net::StatsInquiry stats;
         if (net::StatsInquiry::try_decode(inquiry_batch_.payload(i), stats)) {
-          answer_stats_inquiry(stats.seq, inquiry_batch_.address(i));
+          m_stats_scrapes_.inc();
+          if (!telemetry::answer_stats_inquiry(load_socket_,
+                                               inquiry_batch_.address(i),
+                                               stats.seq, stats_json())) {
+            count_send_failures(1);
+          }
           continue;
         }
         net::TraceInquiry trace_inquiry;
@@ -402,21 +407,6 @@ std::string ServerNode::stats_json() const {
   return telemetry::to_json(
       metrics_.snapshot("server." + std::to_string(options_.id)),
       trace_.snapshot());
-}
-
-void ServerNode::answer_stats_inquiry(std::uint64_t seq,
-                                      const net::Address& to) {
-  m_stats_scrapes_.inc();
-  net::StatsReply reply;
-  reply.seq = seq;
-  reply.payload = stats_json();
-  std::vector<std::uint8_t> buf(reply.encoded_size());
-  const std::size_t n = reply.encode_into(buf);
-  // n == 0 means the snapshot outgrew the wire format's 64 KiB string cap;
-  // treat it like a kernel-refused send rather than crashing the node.
-  if (n == 0 || !load_socket_.send_to({buf.data(), n}, to)) {
-    count_send_failures(1);
-  }
 }
 
 ServerCounters ServerNode::counters() const {

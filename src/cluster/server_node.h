@@ -201,7 +201,6 @@ class ServerNode {
   void send_due_replies(SimTime now);
   void send_reply(std::uint64_t seq, std::uint64_t trace_id,
                   std::int64_t origin_ns, const net::Address& to);
-  void answer_stats_inquiry(std::uint64_t seq, const net::Address& to);
   void count_send_failures(std::int64_t n);
   /// Each sends one announcement and schedules the next.
   void publish(SimTime now);

@@ -130,7 +130,12 @@ void ServiceNode::load_recv_loop() {
           // polling fast path).
           net::StatsInquiry stats;
           if (net::StatsInquiry::try_decode(inquiries.payload(i), stats)) {
-            answer_stats_inquiry(stats.seq, inquiries.address(i));
+            m_stats_scrapes_.inc();
+            if (!telemetry::answer_stats_inquiry(load_socket_,
+                                                 inquiries.address(i),
+                                                 stats.seq, stats_json())) {
+              m_send_failures_.inc();
+            }
             continue;
           }
           // Neptune nodes keep no trace ring; answer with an empty reply so
@@ -172,21 +177,6 @@ void ServiceNode::load_recv_loop() {
 std::string ServiceNode::stats_json() const {
   return telemetry::to_json(metrics_.snapshot(
       "neptune." + options_.service_name + "." + std::to_string(options_.id)));
-}
-
-void ServiceNode::answer_stats_inquiry(std::uint64_t seq,
-                                       const net::Address& to) {
-  m_stats_scrapes_.inc();
-  net::StatsReply reply;
-  reply.seq = seq;
-  reply.payload = stats_json();
-  std::vector<std::uint8_t> buf(reply.encoded_size());
-  const std::size_t n = reply.encode_into(buf);
-  // n == 0 means the snapshot outgrew the wire format's 64 KiB string cap;
-  // treat it like a kernel-refused send rather than crashing the node.
-  if (n == 0 || !load_socket_.send_to({buf.data(), n}, to)) {
-    m_send_failures_.inc();
-  }
 }
 
 RpcResponse ServiceNode::execute(const WorkItem& item) {

@@ -1,11 +1,16 @@
 // Neptune service node: a cluster node that *provides* a service.
 //
-// Wraps the experiment-grade server machinery (FIFO request queue, worker
-// pool, load-index server, soft-state publishing — see
-// cluster/server_node.h) around an application-defined service: the
-// application registers one handler per RPC method, declares which data
-// partitions this node hosts, and the node executes each access
-// "exclusively on one data partition" (paper §3.1).
+// Serves an application-defined service with the same parts as the
+// experiment server (cluster/server_node.h): a FIFO request queue, a
+// worker pool, a load-index server and soft-state publishing. It does not
+// reuse ServerNode, whose one event loop only emulates service time;
+// handlers here do real work, so the node keeps its own threads (a
+// service receive loop, a load-index loop, the workers and, when
+// publishing is on, a publish loop) and its own cluster::BlockingQueue
+// between receive and workers, so a slow handler never stalls load
+// inquiries. The application registers one handler per RPC method,
+// declares which data partitions this node hosts, and the node executes
+// each access "exclusively on one data partition" (paper §3.1).
 //
 // Threading contract for handlers: a handler runs on a worker thread; with
 // the default pool size of 1 handlers never run concurrently on one node,
@@ -91,7 +96,6 @@ class ServiceNode {
 
   void service_recv_loop();
   void load_recv_loop();
-  void answer_stats_inquiry(std::uint64_t seq, const net::Address& to);
   void publish_loop();
   void worker_loop();
   RpcResponse execute(const WorkItem& item);

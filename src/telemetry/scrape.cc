@@ -264,6 +264,16 @@ bool answer_ring_inquiry(net::UdpSocket& socket, const net::Address& to,
   return answer_chunk<DecisionRecord>(socket, to, node, inquiry, records);
 }
 
+bool answer_stats_inquiry(net::UdpSocket& socket, const net::Address& to,
+                          std::uint64_t seq, std::string json) {
+  net::StatsReply reply;
+  reply.seq = seq;
+  reply.payload = std::move(json);
+  // Empty when the document outgrew the 64 KiB string cap.
+  const std::vector<std::uint8_t> bytes = reply.encode();
+  return !bytes.empty() && socket.send_to(bytes, to);
+}
+
 std::optional<net::ClockSample> probe_clock(const net::Address& load_addr,
                                             SimDuration timeout) {
   const SimTime deadline = net::monotonic_now() + timeout;

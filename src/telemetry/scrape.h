@@ -1,7 +1,7 @@
 // Both ends of the telemetry pull channels on a node's UDP sockets:
 // STATS_INQUIRY (a JSON snapshot), and the chunked ring pulls
 // TRACE_INQUIRY and DECISION_INQUIRY, which share one answer helper and
-// one client walk.
+// one client walk. Every node answers through the helpers here.
 #pragma once
 
 #include <cstdint>
@@ -91,6 +91,14 @@ bool answer_ring_inquiry(net::UdpSocket& socket, const net::Address& to,
                          std::int32_t node,
                          const net::DecisionInquiry& inquiry,
                          std::span<const DecisionRecord> records);
+
+/// Serve side of the stats pull: answers a STATS_INQUIRY numbered `seq`
+/// with `json` (the node's stats document), sent to `to` on `socket`.
+/// Returns false, sending nothing, when the document is over the wire
+/// format's 64 KiB string cap, and false when the send fails. Cold path:
+/// allocates.
+bool answer_stats_inquiry(net::UdpSocket& socket, const net::Address& to,
+                          std::uint64_t seq, std::string json);
 
 /// One clock-probe round trip: an out-of-range TRACE_INQUIRY (offset past any
 /// ring) that returns an empty, stamped TRACE_REPLY. Cheaper than a full

@@ -11,6 +11,8 @@
 #include "cluster/client_node.h"
 #include "cluster/server_node.h"
 #include "fault/fault.h"
+#include "net/message.h"
+#include "net/poller.h"
 #include "telemetry/metrics.h"
 #include "workload/catalog.h"
 
@@ -99,6 +101,32 @@ TEST(ScrapeHardeningTest, SingleNodeScrapeTimesOutCleanly) {
   EXPECT_EQ(scrape_trace(dead_address(), 50 * kMillisecond), std::nullopt);
   EXPECT_EQ(scrape_decisions(dead_address(), 50 * kMillisecond),
             std::nullopt);
+}
+
+// The serve-side stats helper: a document inside the wire format's 64 KiB
+// string cap arrives as a STATS_REPLY; one over the cap is refused before
+// anything reaches the socket.
+TEST(AnswerStatsTest, OverCapDocumentReturnsFalseAndSendsNothing) {
+  net::UdpSocket node;
+  net::UdpSocket scraper;
+  net::Poller poller;
+  poller.add(scraper.fd(), 0);
+  std::vector<std::uint8_t> buf(64 * 1024);
+
+  ASSERT_TRUE(answer_stats_inquiry(node, scraper.local_address(), 7,
+                                   "{\"node\":\"server.0\"}"));
+  ASSERT_FALSE(poller.wait(200 * kMillisecond).empty());
+  const auto dgram = scraper.recv_from(buf);
+  ASSERT_TRUE(dgram.has_value());
+  net::StatsReply reply;
+  ASSERT_TRUE(net::StatsReply::try_decode({buf.data(), dgram->size}, reply));
+  EXPECT_EQ(reply.seq, 7u);
+  EXPECT_EQ(reply.payload, "{\"node\":\"server.0\"}");
+
+  EXPECT_FALSE(answer_stats_inquiry(node, scraper.local_address(), 8,
+                                    std::string(70'000, 'x')));
+  EXPECT_TRUE(poller.wait(50 * kMillisecond).empty());
+  EXPECT_FALSE(scraper.recv_from(buf).has_value());
 }
 
 // The chunked DECISION_INQUIRY channel end to end: a live client answering
