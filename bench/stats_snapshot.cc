@@ -1,22 +1,15 @@
 // Observability harness: stand up a 16-server prototype cluster, drive it
-// with a polling client, and scrape every node's telemetry over the
+// with a polling client, and scrape every server's telemetry over the
 // STATS_INQUIRY pull channel *while the run is live* — the operator's view
-// of a production cluster, not a post-mortem. The merged cluster document
-// goes to stdout (and optionally a file), and the run finishes with each
-// node's final snapshot so the two can be compared.
+// of a production cluster, not a post-mortem. The merged live document goes
+// to stdout; `--json=PATH` writes every node's final document after the run
+// so the two can be compared. JSON pull is the only export channel.
 //
 // After the run the harness also pulls every server's trace ring over the
 // TRACE_INQUIRY channel (clock-synced from the scrape round trips), merges
 // it with the client's in-process ring, and reports the measured staleness
 // distribution |Q(t_reply) - Q(t_dispatch)| against the Equation 1 bound —
 // the same observatory fig2_staleness_proto sweeps across load levels.
-//
-// The health plane rides the same documents: every scrape is evaluated by
-// a telemetry::AlertEngine (queue overload/growth, blacklist spikes,
-// election churn, decision mistake rate), and the firing set prints in both
-// JSON and Prometheus form. `--format=prom` switches the cluster documents
-// themselves to Prometheus text exposition (from the in-process registries;
-// the JSON path still exercises the wire pull).
 //
 // The decision observatory is live too: `--decision_period=N` audits every
 // Nth dispatch decision into the client's ring, which is pulled over the
@@ -25,8 +18,7 @@
 //
 //   stats_snapshot [--servers=16] [--requests=4000] [--load=0.7]
 //                  [--poll_size=3] [--trace_period=64] [--decision_period=16]
-//                  [--format=json|prom] [--seed=1]
-//                  [--json=PATH] [--trace_json=PATH]
+//                  [--seed=1] [--json=PATH] [--trace_json=PATH]
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -40,7 +32,6 @@
 #include "common/log.h"
 #include "net/clock.h"
 #include "stats/queueing.h"
-#include "telemetry/alerts.h"
 #include "telemetry/clock_sync.h"
 #include "telemetry/decision.h"
 #include "telemetry/export.h"
@@ -61,8 +52,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get_int("trace_period", 64));
   const auto decision_period =
       static_cast<std::uint32_t>(flags.get_int("decision_period", 16));
-  const std::string format = flags.get_string("format", "json");
-  const bool prom = format == "prom";
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string json_path = flags.get_string("json", "");
   const std::string trace_json_path = flags.get_string("trace_json", "");
@@ -116,26 +105,6 @@ int main(int argc, char** argv) {
   const std::size_t live_answered = docs.size();
   const int unreachable = scraped.failed;
 
-  // Structured snapshots from the in-process registries back the Prometheus
-  // exposition and the alert rules (in a real deployment each node's own
-  // exposition endpoint would serve these; here one process owns them all).
-  const auto collect_snapshots = [&nodes, &client] {
-    std::vector<telemetry::MetricsSnapshot> snaps;
-    snaps.reserve(nodes.size() + 1);
-    for (const auto& node : nodes) {
-      snaps.push_back(
-          node->metrics().snapshot("server." + std::to_string(node->id())));
-    }
-    snaps.push_back(client.metrics().snapshot("client.0"));
-    return snaps;
-  };
-  telemetry::AlertEngine alert_engine;
-  // First evaluation: instantaneous rules can fire; delta baselines seed.
-  std::vector<telemetry::Alert> live_alerts =
-      alert_engine.evaluate_cluster(collect_snapshots());
-  const std::string live_prom =
-      prom ? telemetry::cluster_to_prometheus(collect_snapshots()) : "";
-
   // Pull the client's decision ring over the chunked DECISION_INQUIRY
   // channel while the run is live (the client's service socket answers).
   const auto decision_scrape =
@@ -183,22 +152,11 @@ int main(int argc, char** argv) {
   const telemetry::DecisionQualitySummary quality =
       telemetry::reconstruct_decision_quality(decisions, merged);
 
-  // --- final snapshots + health plane ---------------------------------------
+  // --- final snapshots -------------------------------------------------------
   docs.clear();
   for (const auto& node : nodes) docs.push_back(node->stats_json());
   docs.push_back(client.stats_json());
   const std::string final_doc = telemetry::cluster_to_json(docs);
-  // Second evaluation of the same engine: delta rules (blacklist spikes,
-  // election churn) now have their live-scrape baseline. The client's
-  // document carries the reconstructed decision metrics, so the
-  // mistake-rate rule sees the measured value.
-  std::vector<telemetry::MetricsSnapshot> final_snaps = collect_snapshots();
-  telemetry::append_decision_metrics(final_snaps.back(), quality);
-  const std::vector<telemetry::Alert> final_alerts =
-      alert_engine.evaluate_cluster(final_snaps);
-  std::vector<telemetry::Alert> all_alerts = live_alerts;
-  all_alerts.insert(all_alerts.end(), final_alerts.begin(),
-                    final_alerts.end());
 
   bench::print_header(
       "Cluster stats snapshot (STATS_INQUIRY pull channel)",
@@ -208,7 +166,7 @@ int main(int argc, char** argv) {
           " accesses; scraped live over UDP, then again after the run");
   std::printf("live scrape: %zu/%d servers answered (%d unreachable)\n",
               live_answered, servers, unreachable);
-  std::printf("%s\n", prom ? live_prom.c_str() : live.c_str());
+  std::printf("%s\n", live.c_str());
 
   if (!json_path.empty()) {
     if (std::FILE* f = std::fopen(json_path.c_str(), "w")) {
@@ -251,7 +209,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- decision observatory + health plane report ----------------------------
+  // --- decision observatory report -------------------------------------------
   if (decision_scrape) {
     std::printf(
         "\ndecision pull (DECISION_INQUIRY over UDP, mid-run): "
@@ -264,13 +222,5 @@ int main(int argc, char** argv) {
   std::printf("decision quality over %zu audited decisions: %s\n",
               decisions.size(),
               telemetry::decision_quality_to_json(quality).c_str());
-  if (prom) {
-    std::printf("\nfinal exposition:\n%s",
-                telemetry::cluster_to_prometheus(final_snaps).c_str());
-  }
-  std::printf("\nalerts (%zu live + %zu final): %s\n", live_alerts.size(),
-              final_alerts.size(),
-              telemetry::alerts_to_json(all_alerts).c_str());
-  std::printf("%s", telemetry::alerts_to_prometheus(all_alerts).c_str());
   return 0;
 }

@@ -10,15 +10,17 @@
 #                       alloc-free with every dispatch audited, poll RTT
 #                       p50 within 2% of bare), the decision-quality smoke
 #                       (exact sim + trace-reconstructed prototype
-#                       mistake/regret numbers), and the
-#                       staleness-observatory smoke; the resulting
+#                       mistake/regret numbers), the
+#                       staleness-observatory smoke and the stats-pull
+#                       smoke (stats_snapshot on 4 servers); the resulting
 #                       BENCH_*.json snapshots are folded into
 #                       BENCH_trajectory.json (keyed by git SHA) and gated
 #                       against ci/bench_baseline.json by bench_compare.py
 #                       (>10% tracked-p50 regression fails the run);
 #   3. telemetry off  — -DFINELB_TELEMETRY=OFF build, full test suite:
 #                       the escape hatch must stay a working configuration;
-#   4. sanitizers     — ASan+UBSan and TSan builds running the threaded
+#   4. sanitizers     — ASan+UBSan (UBSan without recovery, so a report
+#                       fails its test) and TSan builds running the threaded
 #                       runtime, trace, and HA tests
 #                       (ctest -L "runtime|trace|ha"), which cover the
 #                       lock-free registry/trace-ring/decision-ring record

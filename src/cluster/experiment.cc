@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,7 +15,6 @@
 #include "cluster/ideal_manager.h"
 #include "net/clock.h"
 #include "telemetry/clock_sync.h"
-#include "telemetry/export.h"
 #include "telemetry/scrape.h"
 
 namespace finelb::cluster {
@@ -212,23 +210,6 @@ PrototypeResult run_prototype(const PrototypeConfig& config,
                                         static_cast<std::uint64_t>(c) * 53)));
   }
 
-  // --- observability ---------------------------------------------------------
-  const auto collect_cluster_stats = [&servers, &clients] {
-    std::vector<std::string> docs;
-    docs.reserve(servers.size() + clients.size());
-    for (const auto& server : servers) docs.push_back(server->stats_json());
-    for (const auto& client : clients) docs.push_back(client->stats_json());
-    return telemetry::cluster_to_json(docs);
-  };
-  if (config.stats_on_sigusr1) telemetry::install_sigusr1_dump_handler();
-  // The reporter polls every node registry from its own thread — safe while
-  // the run is live because every cell and probe reads atomics. Scoped so
-  // its thread joins before the nodes are torn down.
-  std::optional<telemetry::StderrReporter> reporter;
-  if (config.stats_report_interval > 0 || config.stats_on_sigusr1) {
-    reporter.emplace(collect_cluster_stats, config.stats_report_interval);
-  }
-
   const SimTime started = net::monotonic_now();
   std::vector<std::thread> client_threads;
   client_threads.reserve(clients.size());
@@ -303,7 +284,6 @@ PrototypeResult run_prototype(const PrototypeConfig& config,
   clients_done.store(true, std::memory_order_relaxed);
   if (killer.joinable()) killer.join();
   if (dir_killer.joinable()) dir_killer.join();
-  reporter.reset();  // joins the reporter thread before nodes wind down
   const SimTime finished = net::monotonic_now();
 
   // --- collect ---------------------------------------------------------------

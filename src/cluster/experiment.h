@@ -104,12 +104,6 @@ struct PrototypeConfig {
   /// Every Nth request leaves lifecycle records in its node's trace ring
   /// (servers key on request id, clients on access index); 0 = off.
   std::uint32_t trace_sample_period = 0;
-  /// Dump the merged cluster stats document to stderr this often while the
-  /// experiment runs (0 = never). SIGUSR1 forces a dump at any time.
-  SimDuration stats_report_interval = 0;
-  /// Install the process-wide SIGUSR1 handler so an operator can request a
-  /// stderr stats dump of a long run (`kill -USR1 <pid>`).
-  bool stats_on_sigusr1 = false;
   /// Collect every node's final JSON stats document into
   /// PrototypeResult::node_stats_json after the run.
   bool collect_node_stats = false;

@@ -1,10 +1,7 @@
 #include "telemetry/export.h"
 
-#include <chrono>
 #include <cinttypes>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 
 namespace finelb::telemetry {
 
@@ -157,157 +154,6 @@ std::string to_json(const MetricsSnapshot& snapshot,
   return out;
 }
 
-std::string to_text(const MetricsSnapshot& snapshot) {
-  std::string out;
-  out += "=== ";
-  out += snapshot.node.empty() ? "(unnamed node)" : snapshot.node;
-  out += " ===\n";
-  char line[256];
-  for (const auto& [name, value] : snapshot.counters) {
-    std::snprintf(line, sizeof(line), "  %-28s %12" PRId64 "\n", name.c_str(),
-                  value);
-    out += line;
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    std::snprintf(line, sizeof(line), "  %-28s %12" PRId64 " (gauge)\n",
-                  name.c_str(), value);
-    out += line;
-  }
-  for (const auto& [name, value] : snapshot.values) {
-    std::snprintf(line, sizeof(line), "  %-28s %12.4g\n", name.c_str(),
-                  value);
-    out += line;
-  }
-  for (const auto& h : snapshot.histograms) {
-    std::snprintf(line, sizeof(line),
-                  "  %-28s count=%" PRId64
-                  " mean=%.4g p50=%.4g p95=%.4g p99=%.4g max=%.4g\n",
-                  h.name.c_str(), h.count, h.mean, h.p50, h.p95, h.p99,
-                  h.max);
-    out += line;
-  }
-  return out;
-}
-
-namespace {
-
-// --- Prometheus text exposition ---------------------------------------------
-
-void append_prom_name(std::string& out, std::string_view name) {
-  out += "finelb_";
-  for (const char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-}
-
-/// Emits `# TYPE` once per (family, type) across a whole document —
-/// Prometheus rejects re-declarations when several nodes share families.
-void append_prom_type(std::string& out, std::string_view family,
-                      const char* type, std::vector<std::string>& seen) {
-  for (const std::string& s : seen) {
-    if (s == family) return;
-  }
-  seen.emplace_back(family);
-  out += "# TYPE ";
-  append_prom_name(out, family);
-  out += ' ';
-  out += type;
-  out += '\n';
-}
-
-void append_prom_label(std::string& out, std::string_view node) {
-  out += "{node=\"";
-  append_escaped(out, node);
-  out += "\"}";
-}
-
-void append_prometheus_body(std::string& out, const MetricsSnapshot& snap,
-                            std::vector<std::string>& seen_types) {
-  for (const auto& [name, value] : snap.counters) {
-    append_prom_type(out, name, "counter", seen_types);
-    append_prom_name(out, name);
-    append_prom_label(out, snap.node);
-    out += ' ';
-    append_int(out, value);
-    out += '\n';
-  }
-  for (const auto& [name, value] : snap.gauges) {
-    append_prom_type(out, name, "gauge", seen_types);
-    append_prom_name(out, name);
-    append_prom_label(out, snap.node);
-    out += ' ';
-    append_int(out, value);
-    out += '\n';
-  }
-  for (const auto& [name, value] : snap.values) {
-    append_prom_type(out, name, "gauge", seen_types);
-    append_prom_name(out, name);
-    append_prom_label(out, snap.node);
-    out += ' ';
-    append_double(out, value);
-    out += '\n';
-  }
-  for (const auto& h : snap.histograms) {
-    append_prom_type(out, h.name, "histogram", seen_types);
-    // Cumulative buckets: each occupied log bucket contributes its upper
-    // bound as `le`; +Inf closes the series with the total count.
-    std::int64_t cumulative = 0;
-    for (const auto& [value, count] : h.buckets) {
-      cumulative += count;
-      append_prom_name(out, h.name);
-      out += "_bucket{node=\"";
-      append_escaped(out, snap.node);
-      out += "\",le=\"";
-      append_double(out,
-                    detail::kHistBucketing.upper(
-                        detail::kHistBucketing.index(value)));
-      out += "\"} ";
-      append_int(out, cumulative);
-      out += '\n';
-    }
-    append_prom_name(out, h.name);
-    out += "_bucket{node=\"";
-    append_escaped(out, snap.node);
-    out += "\",le=\"+Inf\"} ";
-    append_int(out, h.count);
-    out += '\n';
-    append_prom_name(out, h.name);
-    out += "_sum";
-    append_prom_label(out, snap.node);
-    out += ' ';
-    append_double(out, h.mean * static_cast<double>(h.count));
-    out += '\n';
-    append_prom_name(out, h.name);
-    out += "_count";
-    append_prom_label(out, snap.node);
-    out += ' ';
-    append_int(out, h.count);
-    out += '\n';
-  }
-}
-
-}  // namespace
-
-std::string to_prometheus(const MetricsSnapshot& snapshot) {
-  std::string out;
-  out.reserve(1024);
-  std::vector<std::string> seen_types;
-  append_prometheus_body(out, snapshot, seen_types);
-  return out;
-}
-
-std::string cluster_to_prometheus(const std::vector<MetricsSnapshot>& nodes) {
-  std::string out;
-  out.reserve(1024 * (nodes.size() + 1));
-  std::vector<std::string> seen_types;
-  for (const MetricsSnapshot& snap : nodes) {
-    append_prometheus_body(out, snap, seen_types);
-  }
-  return out;
-}
-
 std::string cluster_to_json(const std::vector<std::string>& node_documents) {
   std::string out = "{\"nodes\":[";
   bool first = true;
@@ -318,79 +164,6 @@ std::string cluster_to_json(const std::vector<std::string>& node_documents) {
   }
   out += "]}";
   return out;
-}
-
-namespace {
-
-// Async-signal-safety contract (audited): the handler may only touch
-// `g_dump_requested`, a lock-free atomic flag. No allocation, no locks, no
-// stdio — all formatting and writing happens later on the reporter thread
-// that polls consume_dump_request(). Keep it that way: any malloc or mutex
-// in here can deadlock if the signal lands inside the allocator.
-std::atomic<bool> g_dump_requested{false};
-static_assert(std::atomic<bool>::is_always_lock_free,
-              "SIGUSR1 handler requires a lock-free flag");
-
-void sigusr1_handler(int) {
-  g_dump_requested.store(true, std::memory_order_relaxed);
-}
-
-}  // namespace
-
-void install_sigusr1_dump_handler() {
-#if defined(__unix__) || defined(__APPLE__)
-  // sigaction with SA_RESTART: a dump request must not surface as EINTR in
-  // the runtime's blocking recv/poll loops.
-  struct sigaction action {};
-  action.sa_handler = sigusr1_handler;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = SA_RESTART;
-  sigaction(SIGUSR1, &action, nullptr);
-#else
-  std::signal(SIGUSR1, sigusr1_handler);
-#endif
-}
-
-void trigger_stats_dump() {
-  g_dump_requested.store(true, std::memory_order_relaxed);
-}
-
-bool consume_dump_request() {
-  return g_dump_requested.exchange(false, std::memory_order_relaxed);
-}
-
-StderrReporter::StderrReporter(Collect collect, SimDuration period)
-    : collect_(std::move(collect)), period_(period) {
-  running_.store(true);
-  thread_ = std::thread([this] { run(); });
-}
-
-StderrReporter::~StderrReporter() { stop(); }
-
-void StderrReporter::stop() {
-  if (!running_.exchange(false)) return;
-  if (thread_.joinable()) thread_.join();
-}
-
-void StderrReporter::run() {
-  using Clock = std::chrono::steady_clock;
-  auto last = Clock::now();
-  while (running_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    bool due = consume_dump_request();
-    if (period_ > 0) {
-      const auto now = Clock::now();
-      if (now - last >= std::chrono::nanoseconds(period_)) {
-        last = now;
-        due = true;
-      }
-    }
-    if (due) {
-      const std::string report = collect_();
-      std::fwrite(report.data(), 1, report.size(), stderr);
-      std::fflush(stderr);
-    }
-  }
 }
 
 }  // namespace finelb::telemetry

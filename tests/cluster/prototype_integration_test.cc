@@ -99,12 +99,10 @@ TEST(PrototypeIntegrationTest, CalibrationMeasuresPositiveOverhead) {
 
 TEST(PrototypeIntegrationTest, ObservabilityCollectsNodeStats) {
   // Exercises the experiment's telemetry wiring end to end: lifecycle
-  // tracing on every 16th request, the live StderrReporter scraping all
-  // node registries mid-run, and per-node JSON snapshots collected into
-  // the result (servers first, then clients).
+  // tracing on every 16th request and per-node JSON snapshots collected
+  // into the result (servers first, then clients).
   PrototypeConfig config = small_config(PolicyConfig::polling(2));
   config.trace_sample_period = 16;
-  config.stats_report_interval = 50 * kMillisecond;
   config.collect_node_stats = true;
   const PrototypeResult r = run_prototype(config, fast_workload());
   EXPECT_GE(r.clients.completed, 590);
